@@ -24,7 +24,7 @@ from .errors import (
     NotHomogeneous,
     ZeroPolynomial,
 )
-from .maps import compose, perm_map
+from .maps import PolynomialMap
 from .poly import Polynomial
 
 
@@ -97,9 +97,6 @@ class Grading:
             if not self.is_homogeneous(c) or self.degree(c) != self.weights[i]:
                 return False
         return True
-
-    def residue(self, modulus):
-        return ResidueGrading(self.weights, modulus)
 
     def _check_poly(self, poly):
         if poly.arity != self.arity:
@@ -184,11 +181,14 @@ class ResidueGrading:
 # ---------------------------------------------------------------------------
 # canonical shape for weight triples
 
-def _inverse_perm(perm):
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
+def _permuted(m, perm):
+    # r m r^-1 where r's coordinate i is variable perm[i]: coordinate i is
+    # m.coords[perm[i]] with its exponent tuple read in the order perm
+    if m.arity != 3:
+        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
+    p0, p1, p2 = perm
+    move = lambda e: (e[p0], e[p1], e[p2])
+    return PolynomialMap(tuple(m.coords[p].map_exponents(3, move) for p in perm))
 
 
 class NormalizedGrading:
@@ -211,14 +211,10 @@ class NormalizedGrading:
 
     def to_normalized(self, m):
         """Conjugate a map on the original variables into normalized ones."""
-        r = perm_map(self.permutation)
-        r_inv = perm_map(_inverse_perm(self.permutation))
-        return compose(r, compose(m, r_inv))
+        return _permuted(m, self.permutation)
 
     def to_original(self, m):
-        r = perm_map(self.permutation)
-        r_inv = perm_map(_inverse_perm(self.permutation))
-        return compose(r_inv, compose(m, r))
+        return _permuted(m, tuple(self.permutation.index(i) for i in range(3)))
 
     def grading(self):
         return Grading(self.weights)

@@ -83,7 +83,9 @@ def _base_factors(current):
     axis, scale, shift = shape
     swapped = False
     if axis == 1:
-        current = compose(current, plane_swap())
+        # precompose with the swap of x and y: only exponents move
+        swap = lambda e: (e[1], e[0])
+        current = PolynomialMap(tuple(c.map_exponents(2, swap) for c in current.coords))
         f, g = current.coords
         swapped = True
     gy = g.partial(1)

@@ -91,7 +91,8 @@ def get_example(name):
 
         a, b, c = (int(s) for s in match.groups())
         witness = wild_witness((a, b, -c))
-        witness.verify()
+        if not witness.verify():  # raised explicitly so python -O keeps it
+            raise AssertionError(f"the witness {key} failed its own verification")
         return NamedExample(
             key,
             witness.map,

@@ -296,6 +296,19 @@ class Polynomial:
                 acc[key] = acc.get(key, 0) + coeff * e
         return Polynomial(self.arity, acc)
 
+    def map_exponents(self, arity, fn):
+        """Move each term's exponent tuple e to ``fn(e)`` in ``arity``
+        variables, adding terms that land together (zero sums vanish).
+
+        The new tuples are not validated: callers guarantee they have
+        length ``arity`` and non-negative entries.
+        """
+        acc = {}
+        for exps, coeff in self.terms.items():
+            key = fn(exps)
+            acc[key] = acc.get(key, 0) + coeff
+        return Polynomial._raw(arity, {e: _coerce(c) for e, c in acc.items() if c})
+
     def substitute(self, images):
         """Evaluate at ``images``, one per variable.
 

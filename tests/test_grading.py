@@ -1,5 +1,8 @@
 """Gradings: degrees, homogeneity, normalization, threshold exponents."""
 
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from tamekit.grading import (
     plane_residue_grading,
     q_hat,
 )
-from tamekit.maps import PolynomialMap, compose, identity_map
+from tamekit.maps import PolynomialMap, compose, identity_map, perm_map
 from tamekit.poly import Polynomial
 
 x, y = Polynomial.variables(2)
@@ -130,6 +133,26 @@ def test_conjugation_round_trip_is_identity():
     n = normalize_weights((0, 3, 1))
     m = PolynomialMap((X + 1, Y * Z, X**2))
     assert n.to_original(n.to_normalized(m)) == m
+
+
+def test_conjugation_matches_permutation_oracle():
+    # every ordering of (2, 1, -3) normalizes back to it, and together the
+    # orderings need all six permutations; each conjugation must agree
+    # with literal composition by the permutation maps
+    m = PolynomialMap(
+        (X * Y**2 + 3 * Z - 1, Y + X**2 * Z**3, Fraction(1, 2) * X * Z + Y**4 * Z)
+    )
+    seen = set()
+    for w in permutations((2, 1, -3)):
+        n = normalize_weights(w)
+        assert n.weights == (2, 1, -3)
+        p = n.permutation
+        p_inv = tuple(p.index(i) for i in range(3))
+        r, r_inv = perm_map(p), perm_map(p_inv)
+        assert n.to_normalized(m) == compose(r, compose(m, r_inv))
+        assert n.to_original(m) == compose(r_inv, compose(m, r))
+        seen.add(p)
+    assert seen == set(permutations(range(3)))
 
 
 def test_q_hat_values():

@@ -1,6 +1,7 @@
 """Polynomial core: canonical form, ring ops, substitution, derivatives."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,15 @@ def test_render_coefficients():
 # ---------------------------------------------------------------------------
 # property tests
 
+def test_map_exponents_merges_and_cancels():
+    half = Fraction(1, 2)
+    f = half * X * Z + half * X + Y * Z - Y
+    g = f.map_exponents(2, lambda e: e[:2])
+    assert g == x
+    assert isinstance(g.terms[(1, 0)], int)  # 1/2 + 1/2 collapses to int
+    assert (X - X * Z).map_exponents(2, lambda e: e[:2]).is_zero()
+
+
 coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -179,3 +189,16 @@ def test_identity_substitution(a):
 def test_render_is_stable_under_rebuild(a):
     assert Polynomial(a.arity, dict(a.terms)) == a
     assert hash(Polynomial(a.arity, dict(a.terms))) == hash(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(3))
+def test_map_exponents_matches_substitution(a):
+    # relabelling exponents is substitution by variables (or by 1)
+    for p in permutations(range(3)):
+        images = tuple(Polynomial.variable(3, p.index(i)) for i in range(3))
+        moved = a.map_exponents(3, lambda e: (e[p[0]], e[p[1]], e[p[2]]))
+        assert moved == a.substitute(images)
+    restricted = a.map_exponents(2, lambda e: e[:2])
+    assert restricted == a.substitute((x, y, 1))
+    assert Polynomial(2, dict(restricted.terms)).terms == restricted.terms

@@ -1,12 +1,18 @@
 """Three-variable graded toolkit: classification, witnesses, decomposition."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tamekit
 from tamekit.errors import (
     ArityMismatch,
     CertifiedWildMap,
@@ -171,6 +177,22 @@ def test_split_z_scaling_rejections():
 def test_restrict_to_plane_oracle():
     e = PolynomialMap((x + y**2 * z, y, z))
     assert restrict_to_plane(e) == PolynomialMap((u + v**2, v))
+    # terms that meet once z = 1 are added: x*z + x*z^2 merges to 2u,
+    # and y*z - y cancels
+    for first, second in [
+        (x * z + x * z**2, y),
+        (x + y * z - y, y + 3 * x * z**4 - x * z),
+        (Fraction(1, 2) * x * z + Fraction(1, 2) * x, y * z**2 - y * z + y),
+    ]:
+        m = PolynomialMap((first, second, z))
+        oracle = PolynomialMap(
+            (first.substitute((u, v, 1)), second.substitute((u, v, 1)))
+        )
+        assert restrict_to_plane(m) == oracle
+    merged = restrict_to_plane(PolynomialMap((x * z + x * z**2, y, z)))
+    assert merged.coords[0] == 2 * u
+    cancelled = restrict_to_plane(PolynomialMap((x + y * z - y, y, z)))
+    assert cancelled.coords[0] == u
 
 
 def test_restrict_nagata():
@@ -298,6 +320,35 @@ def test_witness_flipped_and_permuted_weights():
         g = Grading(weights)
         assert g.is_graded_map(wit.map) and g.is_graded_map(wit.inverse)
         assert wit.verify()
+
+
+def test_witness_with_replaced_inverse_fails_verify():
+    wit = wild_witness((7, 2, -3))
+    tampered = dataclasses.replace(wit, inverse=identity_map(3))
+    assert tampered.verify() is False
+    assert wit.verify() is True
+
+
+_TAMPERED_UNDER_O = """
+import dataclasses
+from tamekit.maps import identity_map
+from tamekit.space import wild_witness
+wit = wild_witness((7, 2, -3))
+print(wit.verify(), dataclasses.replace(wit, inverse=identity_map(3)).verify())
+"""
+
+
+def test_witness_verify_holds_under_optimize_flag():
+    # python -O strips asserts; verify() must still see the replaced inverse
+    src = str(Path(tamekit.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_witness_trivial_grading_is_nagata():
