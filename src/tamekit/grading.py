@@ -219,9 +219,6 @@ class NormalizedGrading:
     def grading(self):
         return Grading(self.weights)
 
-    def original_grading(self):
-        return Grading(self.original)
-
     def __eq__(self, other):
         if not isinstance(other, NormalizedGrading):
             return NotImplemented

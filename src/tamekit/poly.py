@@ -21,14 +21,21 @@ DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
 def _coerce(value):
-    # denominator-1 Fractions collapse to int so dict lookups and
-    # arithmetic stay on the fast integer path
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
+    # canonical coefficients are exactly int or exactly Fraction, so the
+    # kernels below can test ``type(c) is Fraction`` instead of running
+    # the slower ABC isinstance; denominator-1 Fractions collapse to int
+    # so dict lookups and arithmetic stay on the fast integer path
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("bool is not a polynomial coefficient")
     if isinstance(value, int):
-        return value
+        return int(value)
+    if isinstance(value, Fraction):
+        return _coerce(Fraction(value))
     raise TypeError(
         f"coefficients must be int or Fraction, got {type(value).__name__}"
     )
@@ -37,7 +44,7 @@ def _coerce(value):
 def _common_denominator(terms):
     den = 1
     for c in terms.values():
-        if isinstance(c, Fraction):
+        if type(c) is Fraction:
             d = c.denominator
             den = den // gcd(den, d) * d
     return den
@@ -49,9 +56,53 @@ def _scaled_terms(terms, den):
     if den == 1:
         return terms
     return {
-        e: c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+        e: c.numerator * (den // c.denominator) if type(c) is Fraction else c * den
         for e, c in terms.items()
     }
+
+
+def _unscaled_terms(acc, den):
+    # canonical terms of acc / den, where acc holds int numerators that
+    # may include zeros
+    if den == 1:
+        return {e: c for e, c in acc.items() if c}
+    return {e: _coerce(Fraction(c, den)) for e, c in acc.items() if c}
+
+
+def _convolve(arity, t1, t2, acc):
+    """Add the product of the int-coefficient term dicts ``t1`` and
+    ``t2`` into ``acc``.  Sums that cancel stay in ``acc`` as zeros.
+
+    This is the one multiplication loop: ``__mul__``, ``__pow__`` and
+    ``substitute`` all end here.  Exponent addition is unrolled for the
+    two and three variable cases; the generic tuple-of-sums shows up in
+    profiles.
+    """
+    if len(t1) > len(t2):
+        # the smaller factor outside means fewer inner loops to set up
+        t1, t2 = t2, t1
+    get = acc.get
+    if arity == 2:
+        for (i1, j1), c1 in t1.items():
+            for (i2, j2), c2 in t2.items():
+                key = (i1 + i2, j1 + j2)
+                acc[key] = get(key, 0) + c1 * c2
+    elif arity == 3:
+        for (i1, j1, k1), c1 in t1.items():
+            for (i2, j2, k2), c2 in t2.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                acc[key] = get(key, 0) + c1 * c2
+    else:
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                acc[key] = get(key, 0) + c1 * c2
+    return acc
+
+
+def _int_product(arity, t1, t2):
+    # product of two int-coefficient term dicts, zeros dropped
+    return {e: c for e, c in _convolve(arity, t1, t2, {}).items() if c}
 
 
 class Polynomial:
@@ -218,53 +269,18 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_arity(other)
-        if len(self.terms) > len(other.terms):
-            # iterate the smaller factor outside for fewer dict rebuilds
-            return other * self
         # clearing denominators keeps the convolution on plain ints;
         # Fraction arithmetic normalizes with a gcd on every single
         # operation, which dominates runtime on large products
         den1 = _common_denominator(self.terms)
         den2 = _common_denominator(other.terms)
-        t1 = _scaled_terms(self.terms, den1)
-        t2 = _scaled_terms(other.terms, den2)
-        acc = {}
-        # exponent addition is unrolled for the two and three variable
-        # cases; the generic tuple-of-sums shows up in profiles
-        if self.arity == 2:
-            for (i1, j1), c1 in t1.items():
-                for (i2, j2), c2 in t2.items():
-                    key = (i1 + i2, j1 + j2)
-                    new = acc.get(key, 0) + c1 * c2
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-        elif self.arity == 3:
-            for (i1, j1, k1), c1 in t1.items():
-                for (i2, j2, k2), c2 in t2.items():
-                    key = (i1 + i2, j1 + j2, k1 + k2)
-                    new = acc.get(key, 0) + c1 * c2
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-        else:
-            for e1, c1 in t1.items():
-                for e2, c2 in t2.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    new = acc.get(key, 0) + c1 * c2
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-        den = den1 * den2
-        if den == 1:
-            return Polynomial._raw(self.arity, {e: c for e, c in acc.items() if c})
-        return Polynomial._raw(
+        acc = _convolve(
             self.arity,
-            {e: _coerce(Fraction(c, den)) for e, c in acc.items() if c},
+            _scaled_terms(self.terms, den1),
+            _scaled_terms(other.terms, den2),
+            {},
         )
+        return Polynomial._raw(self.arity, _unscaled_terms(acc, den1 * den2))
 
     __rmul__ = __mul__
 
@@ -313,9 +329,17 @@ class Polynomial:
         """Evaluate at ``images``, one per variable.
 
         Images may be Polynomial (all of one arity) or scalars; scalars
-        are lifted to constants of the inferred arity.  Repeated powers
-        of the same image are cached, so high-degree substitution does
-        not recompute products.
+        are lifted to constants of the inferred arity.
+
+        The work stays on plain integers.  Denominators are cleared once
+        per call: each image is written as P_k / d_k with P_k on ints,
+        each coefficient of self is scaled by the powers of the d_k its
+        term lacks, and the sum is divided by the one common denominator
+        at the end.  Terms are grouped by all but the last exponent:
+        within a group the cached powers of the last image are added
+        linearly, and the group is then multiplied by one cached power
+        per earlier variable, so each group costs at most arity - 1
+        products instead of each term costing two.
         """
         images = tuple(images)
         if len(images) != self.arity:
@@ -335,33 +359,54 @@ class Polynomial:
             img if isinstance(img, Polynomial) else Polynomial.constant(target, img)
             for img in images
         ]
-        one = Polynomial.constant(target, 1)
-        caches = [{0: one, 1: img} for img in lifted]
+        if not self.terms:
+            return Polynomial.zero(target)
+        one = {(0,) * target: 1}
+        dens = [_common_denominator(img.terms) for img in lifted]
+        # powers[k][e] is P_k ** e on ints, filled on demand by halving e,
+        # so a high power costs O(log e) products and cache entries
+        powers = [{0: one, 1: _scaled_terms(img.terms, d)} for img, d in zip(lifted, dens)]
+        den = _common_denominator(self.terms)
+        scaled = _scaled_terms(self.terms, den)
+        # (k, d_k, highest power of d_k any term needs) for each image
+        # with a denominator
+        cleared = [
+            (k, d, max(exps[k] for exps in scaled))
+            for k, d in enumerate(dens)
+            if d != 1
+        ]
+        for _, d, top in cleared:
+            den *= d**top
 
-        def power(i, e):
-            cache = caches[i]
+        def power(k, e):
+            cache = powers[k]
             got = cache.get(e)
             if got is None:
                 half = e // 2
-                got = power(i, half) * power(i, e - half)
-                cache[e] = got
+                got = cache[e] = _int_product(target, power(k, half), power(k, e - half))
             return got
 
+        last = self.arity - 1
+        groups = {}
+        for exps, c in scaled.items():
+            for k, d, top in cleared:
+                c *= d ** (top - exps[k])
+            prefix = exps[:last]
+            inner = groups.get(prefix)
+            if inner is None:
+                inner = groups[prefix] = {}
+            get = inner.get
+            for key, v in power(last, exps[last]).items():
+                inner[key] = get(key, 0) + c * v
         acc = {}
-        for exps, coeff in self.terms.items():
-            term = one
-            for i, e in enumerate(exps):
+        for prefix, inner in groups.items():
+            factor = one
+            for k, e in enumerate(prefix):
                 if e:
-                    term = term * power(i, e)
-            for texps, tcoeff in term.terms.items():
-                new = acc.get(texps, 0) + coeff * tcoeff
-                if new:
-                    acc[texps] = new
-                else:
-                    acc.pop(texps, None)
-        return Polynomial._raw(
-            target, {e: _coerce(c) for e, c in acc.items() if c}
-        )
+                    more = power(k, e)
+                    factor = more if factor is one else _int_product(target, factor, more)
+            _convolve(target, inner, factor, acc)
+        return Polynomial._raw(target, _unscaled_terms(acc, den))
 
     # ------------------------------------------------------------------
     # comparison and display

@@ -1,0 +1,153 @@
+"""Products, powers and substitution checked against sympy.
+
+sympy is only a test dependency: it serves as an independent exact
+oracle for the integer kernel behind ``*``, ``**`` and ``substitute``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tamekit.poly import Polynomial
+
+sympy = pytest.importorskip("sympy")
+
+SOURCE = sympy.symbols("a0:3")
+TARGET = sympy.symbols("u0:3")
+
+x, y = Polynomial.variables(2)
+X, Y, Z = Polynomial.variables(3)
+
+
+def to_sympy(value, names):
+    if not isinstance(value, Polynomial):
+        value = Fraction(value)
+        return sympy.Rational(value.numerator, value.denominator)
+    expr = sympy.Integer(0)
+    for exps, c in value.terms.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for name, e in zip(names, exps):
+            term *= name**e
+        expr += term
+    return expr
+
+
+def from_sympy(expr, names):
+    terms = {}
+    for exps, c in sympy.Poly(sympy.expand(expr), *names).as_dict().items():
+        if c:
+            terms[exps] = Fraction(int(c.p), int(c.q))
+    return terms
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_matches(p, expr, names):
+    assert_canonical(p)
+    assert p.terms == from_sympy(expr, names)
+
+
+# several denominators, so the kernel must find a true common one
+coeffs = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=7),
+)
+
+
+def polys(arity, max_exp=3, max_terms=5):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * arity)
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda d: Polynomial(arity, d)
+    )
+
+
+arities = st.sampled_from([2, 3])
+
+
+@st.composite
+def factor_pairs(draw):
+    arity = draw(arities)
+    return draw(polys(arity)), draw(polys(arity))
+
+
+@st.composite
+def substitutions(draw):
+    source, target = draw(arities), draw(arities)
+    f = draw(polys(source))
+    images = tuple(
+        draw(st.one_of(scalars, polys(target, max_exp=2, max_terms=3)))
+        for _ in range(source)
+    )
+    return f, images
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+@example((x - y, x + y))  # the cross terms cancel
+@example((Fraction(1, 2) * X + Fraction(1, 3) * Y, Fraction(2, 5) * X - Z))
+def test_product_matches_sympy(pair):
+    a, b = pair
+    names = TARGET[: a.arity]
+    assert_matches(a * b, to_sympy(a, names) * to_sympy(b, names), names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arities.flatmap(lambda n: polys(n, max_exp=2, max_terms=3)), st.integers(0, 4))
+def test_power_matches_sympy(a, n):
+    names = TARGET[: a.arity]
+    assert_matches(a**n, to_sympy(a, names) ** n, names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+# images of another arity: three variables into two
+@example((X**2 * Z - Fraction(1, 2) * Y * Z**3, (x + y, Fraction(2, 3) * y, Fraction(1, 4))))
+# the two terms cancel, the result is the zero polynomial
+@example((Fraction(1, 2) * x + Fraction(1, 3) * y, (Fraction(2, 3) * y, -y)))
+# scalar images only: the result keeps the source arity
+@example((X * Y * Z + 3, (0, Fraction(5, 2), -1)))
+def test_substitute_matches_sympy(case):
+    f, images = case
+    polys_in = [img for img in images if isinstance(img, Polynomial)]
+    target = polys_in[0].arity if polys_in else f.arity
+    names = TARGET[:target]
+    expr = to_sympy(f, SOURCE[: f.arity]).xreplace(
+        {s: to_sympy(img, names) for s, img in zip(SOURCE, images)}
+    )
+    got = f.substitute(images)
+    assert got.arity == target
+    assert_matches(got, expr, names)
+
+
+class Half(Fraction):
+    """A Fraction subclass, as a caller's own number type might be."""
+
+
+class Count(int):
+    pass
+
+
+def test_subclass_coefficients_are_stored_exactly():
+    p = Polynomial(2, {(1, 0): Half(1, 2), (0, 1): Half(4, 2), (0, 0): Count(3)})
+    assert type(p.terms[(1, 0)]) is Fraction
+    assert type(p.terms[(0, 1)]) is int
+    assert type(p.terms[(0, 0)]) is int
+    assert p == Fraction(1, 2) * x + 2 * y + 3
+    assert p * p == (Fraction(1, 2) * x + 2 * y + 3) ** 2
+    assert p * Half(2, 3) == Fraction(1, 3) * x + Fraction(4, 3) * y + 2
+    assert p.substitute((Half(1, 3) * y, Half(3, 5))) == Fraction(1, 6) * y + Fraction(21, 5)
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): True})
+    with pytest.raises(TypeError):
+        x.substitute((False, y))
