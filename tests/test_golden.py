@@ -1,0 +1,304 @@
+"""Golden outputs of the graded pipelines on the corpora of criteria 6-9.
+
+``render_golden`` replays the generators and seeds of acceptance
+criteria 6-9 and sends every map through each public graded entry point
+under its corpus weights, plus one non-graded copy of every tenth map.
+Each line holds what an entry point returned, rendered exactly (factor
+chains, lifts, obstructions, certificates, inverses), or the class name
+of the tamekit error it raised.  ``tests/golden/graded.txt`` is the
+expected output; a change to it is a change of behaviour.  Regenerate
+it only on purpose, with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/graded.txt
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import tamekit
+from tamekit import (
+    FactorChain,
+    LiftReport,
+    Polynomial,
+    PolynomialMap,
+    TamekitError,
+    WildnessCertificate,
+    compose_chain,
+    decompose_graded,
+    decompose_plane_graded,
+    decompose_positive,
+    decompose_qhat_low,
+    decompose_zero_cases,
+    invert_graded,
+    lift_plane_map,
+    plane_residue_grading,
+    restrict_to_plane,
+    rewrite_liftable_chain,
+    split_z_scaling,
+    wild_witness,
+    wildness_certificate,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "graded.txt"
+
+u, v = Polynomial.variables(2)
+x, y, z = Polynomial.variables(3)
+
+NONZERO = [-3, -2, -1, 1, 2, 3]
+
+
+def _render(out):
+    if isinstance(out, FactorChain):
+        return "chain[" + " ; ".join(f.render() for f in out.factors) + "]"
+    if isinstance(out, PolynomialMap):
+        return out.render()
+    if isinstance(out, LiftReport):
+        if out.liftable:
+            return "lift " + out.lifted.render()
+        ob = out.obstruction
+        return f"obstructed {ob.kind.value} {ob.coordinate} {ob.exponents}"
+    if isinstance(out, WildnessCertificate):
+        return (
+            f"{out.verdict} w={out.weights} q={out.q_hat} t={out.threshold} "
+            f"scale={out.scale} at={out.violating_exponents}@{out.violating_degree}"
+        )
+    raise TypeError(f"no rendering for {out!r}")
+
+
+def _call(fn, *args):
+    try:
+        return _render(fn(*args))
+    except TamekitError as exc:
+        return type(exc).__name__
+
+
+def _plane_rewrite(m, weights):
+    a, b, c = weights[0], weights[1], -weights[2]
+    plane = restrict_to_plane(split_z_scaling(m, weights)[1])
+    return rewrite_liftable_chain(
+        decompose_plane_graded(plane, plane_residue_grading(a, b, c)), weights
+    )
+
+
+ENTRY_POINTS = (
+    ("graded", decompose_graded),
+    ("positive", decompose_positive),
+    ("zero", decompose_zero_cases),
+    ("qhat_low", decompose_qhat_low),
+    ("certificate", wildness_certificate),
+    ("rewrite", _plane_rewrite),
+)
+
+
+def _space_lines(tag, weights, maps, invert=False):
+    # inverses of the mixed-weight maps are too large to compose quickly
+    entry_points = ENTRY_POINTS + ((("invert", invert_graded),) if invert else ())
+    lines = []
+    for k, m in enumerate(maps):
+        cases = [("", m)]
+        if k % 10 == 0:
+            # a constant in a coordinate of nonzero weight breaks gradedness
+            cases.append(("~", PolynomialMap((m.coords[0] + 1, *m.coords[1:]))))
+        for mark, mm in cases:
+            lines.append(f"{tag}#{k}{mark} {weights} map={mm.render()}")
+            for name, fn in entry_points:
+                lines.append(f"  {name}: {_call(fn, mm, weights)}")
+    return lines
+
+
+def _corpus_6():
+    w = (7, 2, -3)
+    rng = random.Random(723)
+
+    def liftable_plane_factor():
+        kind = rng.randrange(4)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap((u + c * v**5, v))
+        if kind == 1:
+            return PolynomialMap((u + c * v**8, v))
+        if kind == 2:
+            return PolynomialMap((u, v + c * u**2))
+        return PolynomialMap((rng.choice(NONZERO) * u, rng.choice(NONZERO) * v))
+
+    def graded_zfixed_factor():
+        kind = rng.randrange(4)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap((x + c * y**5 * z, y, z))
+        if kind == 1:
+            return PolynomialMap((x + c * y**8 * z**3, y, z))
+        if kind == 2:
+            return PolynomialMap((x, y + c * x**2 * z**4, z))
+        return PolynomialMap((rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, z))
+
+    lines = []
+    for k in range(200):
+        pm = compose_chain([liftable_plane_factor() for _ in range(rng.randrange(1, 5))])
+        lines.append(f"lift#{k} {w}")
+        lines.append(f"  lift: {_call(lift_plane_map, pm, w)}")
+    spaced = [
+        compose_chain([graded_zfixed_factor() for _ in range(rng.randrange(1, 5))])
+        for _ in range(200)
+    ]
+    for k, m in enumerate(spaced):
+        back = lift_plane_map(restrict_to_plane(m), w)
+        lines.append(f"restrict#{k} {w}")
+        lines.append(f"  restrict: {_call(restrict_to_plane, m)}")
+        lines.append(f"  relift: {'input' if back.lifted == m else _render(back)}")
+    lines.extend(_space_lines("space", w, spaced[:50]))
+    for pm, weights in (
+        (PolynomialMap((u + v**2, v)), w),
+        (PolynomialMap((v, u)), (5, 2, -3)),
+        (PolynomialMap((u, v + 1)), (2, 1, -1)),
+        (PolynomialMap((u + v**2, v)), (2, 1, -1)),
+    ):
+        lines.append(f"fixed {weights} plane={pm.render()}")
+        lines.append(f"  lift: {_call(lift_plane_map, pm, weights)}")
+    return lines
+
+
+def _corpus_7():
+    rng = random.Random(110)
+
+    def zpoly():
+        while True:
+            p = Polynomial.zero(3)
+            for k in range(5):
+                c = rng.randrange(-3, 4)
+                if c:
+                    p = p + c * z**k
+            if not p.is_zero():
+                return p
+
+    def euclid_factor():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return PolynomialMap((x + zpoly() * y, y, z))
+        if kind == 1:
+            return PolynomialMap((x, y + zpoly() * x, z))
+        return PolynomialMap((rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, z))
+
+    maps = [
+        compose_chain([euclid_factor() for _ in range(rng.randrange(1, 6))])
+        for _ in range(100)
+    ]
+    return _space_lines("euclid", (1, 1, 0), maps, invert=True)
+
+
+def _pipeline_maps(seed, factor_fn):
+    rng = random.Random(seed)
+    return [
+        compose_chain([factor_fn(rng) for _ in range(rng.randrange(1, 6))])
+        for _ in range(100)
+    ]
+
+
+def _corpus_8():
+    def factor_1_1_1(rng):
+        kind = rng.randrange(5)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap((x + c * y**2 * z, y, z))
+        if kind == 1:
+            return PolynomialMap((x + c * y**3 * z**2, y, z))
+        if kind == 2:
+            return PolynomialMap((x, y + c * x**2 * z, z))
+        if kind == 3:
+            return PolynomialMap((y, x, z))
+        return PolynomialMap(
+            (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
+        )
+
+    def factor_5_2_3(rng):
+        kind = rng.randrange(4)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap((x + c * y**4 * z, y, z))
+        if kind == 1:
+            return PolynomialMap((x + c * y**7 * z**3, y, z))
+        if kind == 2:
+            return PolynomialMap((x, y + c * x * z, z))
+        return PolynomialMap(
+            (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
+        )
+
+    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1)) + (
+        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3))
+    )
+
+
+def _corpus_9():
+    def factor_1_1_2(rng):
+        kind = rng.randrange(3)
+        if kind == 0:
+            while True:
+                a, b, c, d = (rng.randrange(-3, 4) for _ in range(4))
+                if a * d - b * c != 0:
+                    break
+            return PolynomialMap((a * x + b * y, c * x + d * y, rng.choice(NONZERO) * z))
+        if kind == 1:
+            q = Polynomial.zero(3)
+            for mon in (x**2, x * y, y**2):
+                q = q + rng.randrange(-3, 4) * mon
+            return PolynomialMap((x, y, z + q))
+        return PolynomialMap((x, y, rng.choice(NONZERO) * z))
+
+    def factor_1_2_3(rng):
+        kind = rng.randrange(4)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap(
+                (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
+            )
+        if kind == 1:
+            return PolynomialMap((x, y + c * x**2, z))
+        if kind == 2:
+            return PolynomialMap((x, y, z + c * x * y))
+        return PolynomialMap((x, y, z + c * x**3))
+
+    return _space_lines("pos112", (1, 1, 2), _pipeline_maps(912, factor_1_1_2), True) + (
+        _space_lines("pos123", (1, 2, 3), _pipeline_maps(923, factor_1_2_3), True)
+    )
+
+
+def _witness_lines():
+    lines = []
+    for weights in ((7, 2, -3), (2, -3, 7), (11, 3, -5), (0, 0, 0)):
+        wit = wild_witness(weights)
+        lines.append(f"witness {weights} map={wit.map.render()}")
+        lines.append(f"  inverse: {wit.inverse.render()}")
+        if wit.certificate is not None:
+            lines.append(f"  certificate: {_render(wit.certificate)}")
+        for name, fn in ENTRY_POINTS:
+            lines.append(f"  {name}: {_call(fn, wit.map, weights)}")
+    return lines
+
+
+def render_golden():
+    lines = _corpus_6() + _corpus_7() + _corpus_8() + _corpus_9() + _witness_lines()
+    return "\n".join(lines) + "\n"
+
+
+def test_graded_outputs_match_golden():
+    assert render_golden() == GOLDEN.read_text()
+
+
+def test_graded_outputs_match_golden_under_optimize_flag():
+    # python -O strips asserts; the answers must not depend on them
+    src = str(Path(tamekit.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", __file__],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render_golden())
