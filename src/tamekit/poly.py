@@ -229,10 +229,10 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.arity, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.arity, other)
         self._check_arity(other)
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
@@ -249,38 +249,38 @@ class Polynomial:
         return Polynomial._raw(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.arity, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.arity, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            if not other:
-                return Polynomial.zero(self.arity)
-            return Polynomial._raw(
-                self.arity, {e: _coerce(c * other) for e, c in self.terms.items()}
+        if isinstance(other, Polynomial):
+            self._check_arity(other)
+            # clearing denominators keeps the convolution on plain ints;
+            # Fraction arithmetic normalizes with a gcd on every single
+            # operation, which dominates runtime on large products
+            den1 = _common_denominator(self.terms)
+            den2 = _common_denominator(other.terms)
+            acc = _convolve(
+                self.arity,
+                _scaled_terms(self.terms, den1),
+                _scaled_terms(other.terms, den2),
+                {},
             )
-        if not isinstance(other, Polynomial):
+            return Polynomial._raw(self.arity, _unscaled_terms(acc, den1 * den2))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check_arity(other)
-        # clearing denominators keeps the convolution on plain ints;
-        # Fraction arithmetic normalizes with a gcd on every single
-        # operation, which dominates runtime on large products
-        den1 = _common_denominator(self.terms)
-        den2 = _common_denominator(other.terms)
-        acc = _convolve(
-            self.arity,
-            _scaled_terms(self.terms, den1),
-            _scaled_terms(other.terms, den2),
-            {},
+        other = _coerce(other)
+        if not other:
+            return Polynomial.zero(self.arity)
+        return Polynomial._raw(
+            self.arity, {e: _coerce(c * other) for e, c in self.terms.items()}
         )
-        return Polynomial._raw(self.arity, _unscaled_terms(acc, den1 * den2))
 
     __rmul__ = __mul__
 
@@ -412,11 +412,11 @@ class Polynomial:
     # comparison and display
 
     def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            return self.arity == other.arity and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_term() == _coerce(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))

@@ -22,6 +22,13 @@ exponent q_hat: the largest q with b*q congruent to a modulo c while
 b*q < a.  Graded-wild automorphisms exist exactly when q_hat >= 2 (and
 in the trivial grading, where every automorphism is graded).
 
+Each public entry point checks its inputs once, at its own boundary,
+and classifies the weights once: the GradingClassification is the one
+weight context passed down from there.  decompose_graded dispatches on
+its reason and decompose_zero_cases on its zero shape; the degree test,
+the pipelines and the lifts below take it as given and never classify,
+normalize or re-check the input map again.
+
 Everything is exact rational arithmetic; no floating point enters.
 """
 
@@ -63,7 +70,6 @@ from .maps import (
     PolynomialMap,
     affine_parts,
     classify_map,
-    compose,
     compose_chain,
     constant_jacobian,
     elementary_detail,
@@ -227,6 +233,47 @@ def classify_grading(weights):
     )
 
 
+def _mixed_abc(w, shape_error):
+    """(a, b, c) for weights (a, b, -c) with a >= b >= 1, c >= 1 and
+    gcd(a, c) = gcd(b, c) = 1.
+
+    A wrong shape raises shape_error, a shared factor GcdPrecondition.
+    Normalized weights have this shape exactly when they are mixed-sign,
+    and then pass the gcd test exactly when neither divisibility
+    obstruction of classify_grading holds.
+    """
+    if len(w) != 3 or not (w[0] >= w[1] >= 1 and w[2] < 0):
+        raise shape_error(
+            f"weights {w} must look like (a, b, -c) with a >= b >= 1 and c >= 1"
+        )
+    a, b, c = w[0], w[1], -w[2]
+    if gcd(a, c) != 1 or gcd(b, c) != 1:
+        raise GcdPrecondition(
+            f"needs gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
+        )
+    return a, b, c
+
+
+def _check_graded(m, cls):
+    """Raise unless m is a three-variable map graded for cls.weights."""
+    if m.arity != 3:
+        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
+    if not Grading(cls.weights).is_graded_map(m):
+        raise NotGraded(f"{m} is not graded for weights {cls.weights}")
+
+
+def _graded_chain(m, factors, weights, norm=None):
+    """The FactorChain of m, after moving the factors back to the original
+    variables with norm when they were found in normalized ones."""
+    if norm is not None:
+        factors = [norm.to_original(f) for f in factors]
+    chain = FactorChain(m, factors)
+    g = Grading(weights)
+    for f in chain.factors:
+        assert g.is_graded_map(f)
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # splitting off the z scaling, restriction to the plane, and lifting back
 
@@ -247,15 +294,17 @@ def split_z_scaling(m, weights):
         )
     if not Grading(w).is_graded_map(m):
         raise NotGraded(f"{m} is not graded for weights {w}")
+    return _split_z(m)
+
+
+def _split_z(m):
+    """split_z_scaling for a map already known to be graded."""
     lam = _scalar_coord(m.coords[2], 2, 3)
     if lam is None:
         raise ThirdCoordinateNotScalar(
             f"third coordinate {m.coords[2]} is not a nonzero scalar multiple of z"
         )
-    scaling = PolynomialMap((_X, _Y, lam * _Z))
-    zfixed = PolynomialMap((m.coords[0], m.coords[1], _Z))
-    assert compose(scaling, zfixed) == m
-    return scaling, zfixed
+    return PolynomialMap((_X, _Y, lam * _Z)), PolynomialMap((m.coords[0], m.coords[1], _Z))
 
 
 def restrict_to_plane(m):
@@ -306,17 +355,7 @@ def lift_plane_map(pm, weights):
     No assert guards the power of z: the NotGradedPlane check makes it
     an integer and the two obstruction scans make it non-negative.
     """
-    w = tuple(weights)
-    if len(w) != 3 or not (w[0] >= w[1] >= 1 and w[2] < 0):
-        raise WrongShape(
-            f"weights {w} must look like (a, b, -c) with a >= b >= 1 and c >= 1"
-        )
-    a, b = w[0], w[1]
-    c = -w[2]
-    if gcd(a, c) != 1 or gcd(b, c) != 1:
-        raise GcdPrecondition(
-            f"lifting needs gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
-        )
+    a, b, c = _mixed_abc(tuple(weights), WrongShape)
     if pm.arity != 2:
         raise ArityMismatch(f"need a plane map, got arity {pm.arity}")
     rg = plane_residue_grading(a, b, c)
@@ -382,38 +421,25 @@ class WildnessCertificate:
 def wildness_certificate(m, weights):
     """Run the degree test for graded wildness against a graded map."""
     cls = classify_grading(weights)
-    nw = cls.normalized.weights
-    if not (nw[0] >= 1 and nw[1] >= 1 and nw[2] < 0):
-        raise GcdPrecondition(
-            f"the degree test needs mixed-sign weights, got {tuple(weights)}"
-        )
-    if cls.reason in (
-        GradingReason.GCD_OBSTRUCTION,
-        GradingReason.SYMMETRIC_GCD_OBSTRUCTION,
-    ):
-        raise GcdPrecondition(
-            f"the degree test needs coprime weight pairs, got {tuple(weights)}"
-        )
-    if m.arity != 3:
-        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    w = tuple(weights)
-    if not Grading(w).is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {w}")
-    a, b = nw[0], nw[1]
-    c = -nw[2]
+    _mixed_abc(cls.normalized.weights, GcdPrecondition)
+    _check_graded(m, cls)
+    return _degree_test(cls, cls.normalized.to_normalized(m))
+
+
+def _degree_test(cls, mm):
+    """The degree test on mm, a graded map in the normalized variables of
+    mixed coprime weights."""
     qh = cls.q_hat
-    mm = cls.normalized.to_normalized(m)
-    _, zfixed = split_z_scaling(mm, nw)
-    pm = restrict_to_plane(zfixed)
+    pm = restrict_to_plane(_split_z(mm)[1])
     lam = pm.coords[0].coeff((1, 0))
     drop = pm.coords[0] - lam * _U
-    threshold = qh + c
+    threshold = qh - cls.normalized.weights[2]
     for exps in sorted(drop.terms, key=lambda e: (sum(e), e)):
         if sum(exps) < threshold:
             return WildnessCertificate(
-                True, w, qh, threshold, lam, exps, sum(exps)
+                True, cls.weights, qh, threshold, lam, exps, sum(exps)
             )
-    return WildnessCertificate(False, w, qh, threshold, lam)
+    return WildnessCertificate(False, cls.weights, qh, threshold, lam)
 
 
 @dataclass(frozen=True)
@@ -506,7 +532,7 @@ def wild_witness(weights):
     cls = classify_grading(weights)
     if not cls.admits_wild:
         raise NotWildAdmitting(
-            f"weights {tuple(weights)} admit no graded-wild automorphisms "
+            f"weights {cls.weights} admit no graded-wild automorphisms "
             f"({cls.reason.value})"
         )
     if cls.reason is GradingReason.TRIVIAL_GRADING:
@@ -514,7 +540,7 @@ def wild_witness(weights):
 
         nag, nag_inv = nagata_pair()
         return WildWitness(
-            weights=tuple(weights),
+            weights=cls.weights,
             classification=cls,
             map=nag,
             inverse=nag_inv,
@@ -527,7 +553,6 @@ def wild_witness(weights):
             externally_certified=True,
         )
     norm = cls.normalized
-    a, b = norm.weights[0], norm.weights[1]
     c = -norm.weights[2]
     qh, lh = cls.q_hat, cls.l_hat
     tau = PolynomialMap((_U + _V**qh, _V))
@@ -543,17 +568,15 @@ def wild_witness(weights):
     assert drop.coeff((lh, qh - 1)) == -qh
     assert drop.min_total_degree() == qh + lh - 1
     assert qh + lh - 1 < qh + c
-    lifted = _lift_or_fail(eps, (a, b, -c))
-    lifted_inv = _lift_or_fail(eps_inv, (a, b, -c))
-    witness = norm.to_original(lifted)
-    witness_inv = norm.to_original(lifted_inv)
-    cert = wildness_certificate(witness, tuple(weights))
+    lifted = _lift_or_fail(eps, norm.weights)
+    lifted_inv = _lift_or_fail(eps_inv, norm.weights)
+    cert = _degree_test(cls, lifted)
     assert cert.certified and cert.violating_degree == qh + lh - 1
     return WildWitness(
-        weights=tuple(weights),
+        weights=cls.weights,
         classification=cls,
-        map=witness,
-        inverse=witness_inv,
+        map=norm.to_original(lifted),
+        inverse=norm.to_original(lifted_inv),
         plane_map=eps,
         plane_inverse=eps_inv,
         q_hat=qh,
@@ -588,8 +611,7 @@ def decompose_positive(m, weights):
         w = tuple(-v for v in w)
     else:
         raise WrongShape(f"weights {tuple(weights)} are not of one strict sign")
-    g = Grading(w)
-    if not g.is_graded_map(m):
+    if not Grading(w).is_graded_map(m):
         raise NotGraded(f"{m} is not graded for weights {tuple(weights)}")
     n = m.arity
     xs = Polynomial.variables(n)
@@ -633,10 +655,7 @@ def decompose_positive(m, weights):
             coords = list(xs)
             coords[i] = xs[i] + acc
             factors.append(PolynomialMap(coords))
-    chain = FactorChain(m, factors)
-    for f in chain.factors:
-        assert g.is_graded_map(f)
-    return chain
+    return _graded_chain(m, factors, w)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +673,7 @@ def _linear_in_z(coord):
     return kappa, coord.constant_term()
 
 
-def _zero_distinct_pair(mm, a, b):
+def _zero_distinct_pair(mm):
     """Weights (a, b, 0) with a > b >= 1."""
     kappa, mu = _linear_in_z(mm.coords[2])
     lam2 = _scalar_coord(mm.coords[1], 1, 3)
@@ -759,7 +778,7 @@ def _zero_equal_pair(mm):
     return factors
 
 
-def _zero_pos_neg(mm, a, c):
+def _zero_pos_neg(mm):
     """Weights (a, 0, -c) with gcd(a, c) = 1.
 
     Weight homogeneity makes the first and third coordinates divisible
@@ -817,45 +836,41 @@ def _zero_single(mm):
     return factors
 
 
+_ZERO_CASES = {
+    ZeroWeightShape.DISTINCT_POSITIVE_PAIR: _zero_distinct_pair,
+    ZeroWeightShape.EQUAL_POSITIVE_PAIR: _zero_equal_pair,
+    ZeroWeightShape.POSITIVE_AND_NEGATIVE: _zero_pos_neg,
+    ZeroWeightShape.SINGLE_POSITIVE: _zero_single,
+}
+
+
 def decompose_zero_cases(m, weights):
     """Decompose a graded automorphism when some weight is zero.
 
     Normalization leaves four shapes: (a, b, 0) with a > b, (1, 1, 0),
     (a, 0, -c), and (1, 0, 0).  Translations in the weight-zero
     variables are graded and are handled (the zero-weight chains are
-    the one place constants can appear).
+    the one place constants can appear).  ``weights`` may also be the
+    GradingClassification of the weights, which is then not rebuilt.
     """
     if m.arity != 3:
         raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    w = tuple(weights)
-    norm = normalize_weights(w)
-    nw = norm.weights
-    if 0 not in nw or nw == (0, 0, 0):
+    if isinstance(weights, GradingClassification):
+        cls = weights
+    else:
+        cls = classify_grading(weights)
+    if cls.zero_shape is None:
         raise WrongShape(
-            f"weights {w} must have a zero entry but not be entirely zero"
+            f"weights {cls.weights} must have a zero entry but not be entirely zero"
         )
-    g = Grading(w)
-    if not g.is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {w}")
-    mm = norm.to_normalized(m)
+    _check_graded(m, cls)
+    mm = cls.normalized.to_normalized(m)
     if constant_jacobian(mm) is None:
         raise NotAnAutomorphism(
             f"{m} does not have a nonzero constant Jacobian determinant"
         )
-    if nw[2] == 0 and nw[1] >= 1:
-        if nw[0] > nw[1]:
-            factors = _zero_distinct_pair(mm, nw[0], nw[1])
-        else:
-            factors = _zero_equal_pair(mm)
-    elif nw[1] == 0 and nw[2] < 0:
-        factors = _zero_pos_neg(mm, nw[0], -nw[2])
-    else:
-        factors = _zero_single(mm)
-    back = [norm.to_original(f) for f in factors]
-    chain = FactorChain(m, back)
-    for f in chain.factors:
-        assert g.is_graded_map(f)
-    return chain
+    factors = _ZERO_CASES[cls.zero_shape](mm)
+    return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -932,37 +947,6 @@ def _absorb(emitted, p, f):
     return _mat_mul(_absorb(emitted, _mat_mul(p, _SWAP2), conj), _SWAP2)
 
 
-def _rewrite_core(target, factors, rg):
-    """Left-to-right walk keeping prefix = emitted composed with pending."""
-    emitted = []
-    pending = _ID2
-    for f in factors:
-        cls = classify_map(f)
-        if cls is MapClass.IDENTITY:
-            continue
-        if cls is MapClass.LINEAR:
-            mat, consts = affine_parts(f)
-            assert all(v == 0 for v in consts)
-            pending = _mat_mul(
-                pending, ((mat[0][0], mat[0][1]), (mat[1][0], mat[1][1]))
-            )
-        elif cls is MapClass.ELEMENTARY:
-            pending = _absorb(emitted, pending, f)
-        else:
-            raise WrongShape(
-                f"cannot rewrite factor {f}; need linear or elementary factors"
-            )
-    if pending != _ID2:
-        if pending[0][1] == 0:
-            _emit_split(emitted, pending)
-        else:
-            emitted.append(map_from_matrix([list(pending[0]), list(pending[1])]))
-    chain = FactorChain(target, emitted)
-    for f in chain.factors:
-        assert rg.is_graded_map(f)
-    return chain
-
-
 def rewrite_liftable_chain(chain, weights):
     """Rewrite a graded plane chain so the factors lift individually.
 
@@ -977,33 +961,46 @@ def rewrite_liftable_chain(chain, weights):
     triangular, which holds automatically for restrictions of graded
     three-variable maps.
     """
-    w = tuple(weights)
-    if len(w) != 3 or not (w[0] >= w[1] >= 1 and w[2] < 0):
-        raise WrongShape(
-            f"weights {w} must look like (a, b, -c) with a >= b >= 1 and c >= 1"
-        )
-    a, b = w[0], w[1]
-    c = -w[2]
-    if gcd(a, c) != 1 or gcd(b, c) != 1:
-        raise GcdPrecondition(
-            f"rewriting needs gcd(a, c) = gcd(b, c) = 1, got a={a}, b={b}, c={c}"
-        )
+    a, b, c = _mixed_abc(tuple(weights), WrongShape)
     qh = q_hat(a, b, c)
     if qh != 1:
         raise QHatNotOne(f"rewrite applies when the threshold exponent is 1, got {qh}")
-    rg = plane_residue_grading(a, b, c)
-    for f in chain.factors:
+    return _rewrite_walk(chain.target, chain.factors, plane_residue_grading(a, b, c))
+
+
+def _rewrite_walk(target, factors, rg):
+    """Left-to-right walk keeping prefix = emitted composed with pending.
+
+    Each factor is checked as the walk reaches it, so the first faulty
+    factor decides the error: graded for rg, origin-preserving, then
+    linear or elementary.
+    """
+    emitted = []
+    pending = _ID2
+    for f in factors:
         if not rg.is_graded_map(f):
             raise NotGradedChain(f"factor {f} is not graded for {rg!r}")
         if not f.is_origin_preserving():
             raise OriginNotPreserved(f"factor {f} moves the origin")
-        if classify_map(f) not in (
-            MapClass.IDENTITY,
-            MapClass.LINEAR,
-            MapClass.ELEMENTARY,
-        ):
+        kind = classify_map(f)
+        if kind is MapClass.LINEAR:
+            mat, _ = affine_parts(f)
+            pending = _mat_mul(
+                pending, ((mat[0][0], mat[0][1]), (mat[1][0], mat[1][1]))
+            )
+        elif kind is MapClass.ELEMENTARY:
+            pending = _absorb(emitted, pending, f)
+        elif kind is not MapClass.IDENTITY:
             raise WrongShape(f"factor {f} is neither linear nor elementary")
-    return _rewrite_core(chain.target, chain.factors, rg)
+    if pending != _ID2:
+        if pending[0][1] == 0:
+            _emit_split(emitted, pending)
+        else:
+            emitted.append(map_from_matrix([list(pending[0]), list(pending[1])]))
+    chain = FactorChain(target, emitted)
+    for f in chain.factors:
+        assert rg.is_graded_map(f)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -1027,22 +1024,19 @@ def _emit_three(lifted):
     return out
 
 
-def _mixed_pipeline(mm, nw):
-    """Normalized mixed weights: restrict, decompose, rewrite, lift."""
-    a, b = nw[0], nw[1]
-    c = -nw[2]
-    scaling, zfixed = split_z_scaling(mm, nw)
+def _mixed_pipeline(cls, mm):
+    """Restrict, decompose, rewrite, lift: mm is graded for the normalized
+    mixed coprime weights of cls."""
+    nw = cls.normalized.weights
+    scaling, zfixed = _split_z(mm)
     pm = restrict_to_plane(zfixed)
-    # pure powers of z are never graded here, so no constants appear
-    assert pm.is_origin_preserving()
-    rg = plane_residue_grading(a, b, c)
-    plane_chain = decompose_plane_graded(pm, rg)
-    rewritten = _rewrite_core(pm, plane_chain.factors, rg)
+    rg = plane_residue_grading(nw[0], nw[1], -nw[2])
+    rewritten = _rewrite_walk(pm, decompose_plane_graded(pm, rg).factors, rg)
     out = []
     if scaling != identity_map(3):
         out.append(scaling)
     for f in rewritten.factors:
-        out.extend(_emit_three(_lift_or_fail(f, (a, b, -c))))
+        out.extend(_emit_three(_lift_or_fail(f, nw)))
     return out
 
 
@@ -1055,35 +1049,14 @@ def decompose_qhat_low(m, weights):
     lifts, so the result is a complete graded factorization.
     """
     cls = classify_grading(weights)
-    nw = cls.normalized.weights
-    if not (nw[0] >= 1 and nw[1] >= 1 and nw[2] < 0):
-        raise WrongShape(
-            f"weights {tuple(weights)} must be mixed-sign without zeros"
-        )
-    if cls.reason in (
-        GradingReason.GCD_OBSTRUCTION,
-        GradingReason.SYMMETRIC_GCD_OBSTRUCTION,
-    ):
-        raise GcdPrecondition(
-            f"pipeline needs coprime weight pairs, got {tuple(weights)}"
-        )
+    _mixed_abc(cls.normalized.weights, WrongShape)
     if cls.q_hat > 1:
         raise WrongShape(
             f"pipeline assumes threshold exponent at most 1, got {cls.q_hat}"
         )
-    if m.arity != 3:
-        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    w = tuple(weights)
-    g = Grading(w)
-    if not g.is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {w}")
-    mm = cls.normalized.to_normalized(m)
-    factors = _mixed_pipeline(mm, cls.normalized.weights)
-    back = [cls.normalized.to_original(f) for f in factors]
-    chain = FactorChain(m, back)
-    for f in chain.factors:
-        assert g.is_graded_map(f)
-    return chain
+    _check_graded(m, cls)
+    factors = _mixed_pipeline(cls, cls.normalized.to_normalized(m))
+    return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
 def _mixed_gcd_obstructed(mm, mirror):
@@ -1186,42 +1159,35 @@ def decompose_graded(m, weights):
     """
     if m.arity != 3:
         raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    w = tuple(weights)
-    g = Grading(w)
-    if not g.is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {w}")
-    cls = classify_grading(w)
-    nw = cls.normalized.weights
-    if nw == (0, 0, 0):
+    cls = classify_grading(weights)
+    reason = cls.reason
+    if reason in (GradingReason.ALL_POSITIVE, GradingReason.ALL_NEGATIVE):
+        return decompose_positive(m, cls.weights)
+    if reason is GradingReason.ZERO_WEIGHT:
+        return decompose_zero_cases(m, cls)
+    _check_graded(m, cls)
+    if reason is GradingReason.TRIVIAL_GRADING:
         return _decompose_trivial(m)
-    if all(v > 0 for v in nw):
-        return decompose_positive(m, w)
-    if 0 in nw:
-        return decompose_zero_cases(m, w)
     mm = cls.normalized.to_normalized(m)
-    if cls.reason is GradingReason.GCD_OBSTRUCTION:
+    if reason is GradingReason.GCD_OBSTRUCTION:
         factors = _mixed_gcd_obstructed(mm, mirror=False)
-    elif cls.reason is GradingReason.SYMMETRIC_GCD_OBSTRUCTION:
+    elif reason is GradingReason.SYMMETRIC_GCD_OBSTRUCTION:
         factors = _mixed_gcd_obstructed(mm, mirror=True)
-    elif cls.admits_wild:
-        cert = wildness_certificate(m, w)
+    elif reason is GradingReason.Q_HAT_AT_LEAST_TWO:
+        cert = _degree_test(cls, mm)
         if cert.certified:
             return cert
         try:
-            factors = _mixed_pipeline(mm, nw)
+            factors = _mixed_pipeline(cls, mm)
         except LiftFailure as exc:
             raise WildAdmittingUndecided(
-                f"weights {w} admit wild automorphisms, the degree test is "
-                f"inconclusive for {m}, and the tame pipeline left an "
+                f"weights {cls.weights} admit wild automorphisms, the degree "
+                f"test is inconclusive for {m}, and the tame pipeline left an "
                 f"unliftable factor"
             ) from exc
     else:
-        factors = _mixed_pipeline(mm, nw)
-    back = [cls.normalized.to_original(f) for f in factors]
-    chain = FactorChain(m, back)
-    for f in chain.factors:
-        assert g.is_graded_map(f)
-    return chain
+        factors = _mixed_pipeline(cls, mm)
+    return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
 def invert_graded(m, weights):

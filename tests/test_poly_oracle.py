@@ -1,7 +1,8 @@
-"""Products, powers and substitution checked against sympy.
+"""Products, powers, substitution and derivatives checked against sympy.
 
 sympy is only a test dependency: it serves as an independent exact
-oracle for the integer kernel behind ``*``, ``**`` and ``substitute``.
+oracle for the integer kernel behind ``*``, ``**`` and ``substitute``,
+and for ``partial`` and ``jacobian_det``.
 """
 
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tamekit.maps import PolynomialMap, jacobian_det
 from tamekit.poly import Polynomial
 
 sympy = pytest.importorskip("sympy")
@@ -128,6 +130,28 @@ def test_substitute_matches_sympy(case):
     got = f.substitute(images)
     assert got.arity == target
     assert_matches(got, expr, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arities.flatmap(lambda n: st.tuples(polys(n), st.integers(0, n - 1))))
+@example((X**3 * Y - Fraction(1, 3) * X * Z**2 + 7, 0))  # a 1/3 times 3 turns whole
+@example((Fraction(1, 2) * x * y + y, 1))
+@example((Fraction(5, 4) * Y, 0))  # free of the variable: the zero polynomial
+def test_partial_matches_sympy(case):
+    f, index = case
+    names = TARGET[: f.arity]
+    assert_matches(f.partial(index), sympy.diff(to_sympy(f, names), names[index]), names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arities.flatmap(lambda n: st.lists(polys(n, max_exp=2, max_terms=3), min_size=n, max_size=n)))
+@example([x + y**2, y])  # a shear: determinant 1
+@example([X * Y, Fraction(1, 2) * Y * Z, X + Z])
+@example([x + y, 2 * x + 2 * y])  # dependent rows: determinant 0
+def test_jacobian_det_matches_sympy(coords):
+    names = TARGET[: len(coords)]
+    matrix = sympy.Matrix([to_sympy(c, names) for c in coords]).jacobian(names)
+    assert_matches(jacobian_det(PolynomialMap(coords)), matrix.det(), names)
 
 
 class Half(Fraction):
