@@ -13,14 +13,17 @@ Exit codes:
     4   certified wild
     5   automorphism status undecided
     64  usage, parse, or input-shape problems
+    70  internal error: a bug in tamekit, not a verdict on the input
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from .errors import (
     CertifiedWildMap,
+    InvariantViolation,
     LiftFailure,
     NotAnAutomorphism,
     NotGraded,
@@ -578,6 +581,9 @@ def main(argv=None):
         return 0 if not exc.code else 64
     try:
         return args.handler(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 70
     except TamekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for classes, code in _EXIT_CODES:
@@ -587,6 +593,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except Exception as exc:  # a bug; exit 1 would read "not an automorphism"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 70
 
 
 if __name__ == "__main__":

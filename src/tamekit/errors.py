@@ -78,6 +78,10 @@ class QHatNotOne(TamekitError):
     """Routine is only valid when the threshold exponent equals one."""
 
 
+class InvariantViolation(TamekitError):
+    """A result failed tamekit's own final check: a bug, not an input verdict."""
+
+
 class LiftFailure(TamekitError):
     """Internal lift invariant violated; indicates a bug upstream."""
 

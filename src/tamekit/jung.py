@@ -10,8 +10,9 @@ surviving variable is y).
 
 Maps that fail any of the shape facts automorphisms must satisfy raise
 NotAnAutomorphism, so running to completion doubles as a membership
-test.  The origin-preserving and graded variants run the same descent;
-their extra factor properties hold automatically and are asserted.
+test.  The origin-preserving and graded variants check their input and
+run the same descent; their extra factor properties then hold
+automatically, for the reasons given in their docstrings.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from .maps import (
     FactorChain,
     PolynomialMap,
     compose,
-    compose_chain,
     constant_jacobian,
     identity_map,
-    invert_factor,
     plane_swap,
-    verify_inverse_pair,
 )
-from .newton import BinomialEdge, Obstruction, analyze_top_edge, newton_area
+from .newton import Obstruction, analyze_top_edge, newton_area
 from .poly import Polynomial, _coerce
 
 _X, _Y = Polynomial.variables(2)
@@ -94,8 +92,7 @@ def _base_factors(current):
             f"second coordinate {g} is not linear in y over K[x]"
         )
     mu = gy.constant_value()
-    w = g - mu * _Y
-    assert not w.involves(1)
+    w = g - mu * _Y  # free of y, since its y-derivative is zero
     aff = PolynomialMap((scale * _X + shift, mu * _Y))
     elem = PolynomialMap((_X, _Y + w * _coerce(Fraction(1) / Fraction(mu))))
     ident = identity_map(2)
@@ -106,6 +103,7 @@ def _base_factors(current):
 
 
 def _descend(m, trace):
+    """The factors of m and one note each, found by polygon descent."""
     if constant_jacobian(m) is None:
         raise NotAnAutomorphism(
             f"{m} does not have a nonzero constant Jacobian determinant"
@@ -129,7 +127,7 @@ def _descend(m, trace):
         edge = analyze_top_edge(f)
         if isinstance(edge, Obstruction):
             raise NotAnAutomorphism(f"first coordinate rules the map out: {edge.reason}")
-        assert isinstance(edge, BinomialEdge)
+        # a polygon of positive area is no axis segment: edge is a BinomialEdge
         psi, psi_inv, note = _shear_for_edge(edge)
         current = compose(current, psi)
         suffix.insert(0, psi_inv)
@@ -151,34 +149,38 @@ def decompose_plane(m, trace=None):
 
 
 def decompose_plane_origin(m, trace=None):
-    """decompose_plane for origin-preserving maps; every factor is too."""
+    """decompose_plane for origin-preserving maps; every factor is too.
+
+    The shears have no constant term, so every map the descent reaches
+    still fixes the origin; the base shift is then f(0) = 0 and the
+    elementary base addend g - mu*y has g(0) = 0 as its constant.
+    """
     _check_plane(m)
     if not m.is_origin_preserving():
         raise OriginNotPreserved(f"{m} moves the origin")
-    factors, notes = _descend(m, trace)
-    for fac in factors:
-        assert fac.is_origin_preserving()
-    return FactorChain(m, factors, notes)
+    return decompose_plane(m, trace)
 
 
 def decompose_plane_graded(m, grading, trace=None):
     """decompose_plane for maps graded under ``grading``; so is every factor.
 
-    Works for exact and residue gradings alike.
+    Works for exact and residue gradings alike.  Each shear is graded:
+    the binomial top edge scale*(y^q - c*x^p)^k puts both y^(qk) and
+    x^p*y^(q(k-1)) in the support of f, a homogeneous coordinate, so
+    x^p and y^q have the same weight.  Every map the descent reaches is
+    therefore graded, and its base factors are too: the affine and
+    elementary ones keep homogeneous parts of its coordinates, and the
+    swap occurs only when f = scale*y + shift gives x and y one weight.
     """
     _check_plane(m)
     if grading.arity != 2:
         raise ArityMismatch("plane decomposition needs a two-variable grading")
     if not grading.is_graded_map(m):
         raise NotGradedPlane(f"{m} is not graded for {grading!r}")
-    factors, notes = _descend(m, trace)
-    for fac in factors:
-        assert grading.is_graded_map(fac)
-    return FactorChain(m, factors, notes)
+    return decompose_plane(m, trace)
 
 
 def is_plane_automorphism(m):
-    _check_plane(m)
     try:
         decompose_plane(m)
     except NotAnAutomorphism:
@@ -188,9 +190,4 @@ def is_plane_automorphism(m):
 
 def invert_plane(m):
     """The exact inverse of a plane automorphism, via its factor chain."""
-    chain = decompose_plane(m)
-    if not chain.factors:
-        return identity_map(2)
-    inverse = compose_chain([invert_factor(f) for f in reversed(chain.factors)])
-    assert verify_inverse_pair(m, inverse)
-    return inverse
+    return decompose_plane(m).inverse()

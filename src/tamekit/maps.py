@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .errors import ArityMismatch, EmptySequence, WrongShape
+from .errors import ArityMismatch, EmptySequence, InvariantViolation, WrongShape
 from .poly import Polynomial, _coerce
 
 
@@ -412,6 +412,16 @@ class FactorChain:
 
     def classes(self):
         return tuple(classify_map(f) for f in self.factors)
+
+    def inverse(self):
+        """The inverse of the target, from the factors inverted in reverse
+        order; checked both ways, else InvariantViolation."""
+        if not self.factors:
+            return identity_map(self.target.arity)
+        inverse = compose_chain([invert_factor(f) for f in reversed(self.factors)])
+        if not verify_inverse_pair(self.target, inverse):
+            raise InvariantViolation(f"inverted factors fail to invert {self.target}")
+        return inverse
 
     def __repr__(self):
         inner = ", ".join(f.render() for f in self.factors)

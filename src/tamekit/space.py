@@ -43,6 +43,7 @@ from .errors import (
     ArityMismatch,
     CertifiedWildMap,
     GcdPrecondition,
+    InvariantViolation,
     LastVariableNotFixed,
     LiftFailure,
     NotAnAutomorphism,
@@ -63,7 +64,7 @@ from .grading import (
     plane_residue_grading,
     q_hat,
 )
-from .jung import decompose_plane, decompose_plane_graded
+from .jung import _descend, decompose_plane
 from .maps import (
     FactorChain,
     MapClass,
@@ -74,7 +75,6 @@ from .maps import (
     constant_jacobian,
     elementary_detail,
     identity_map,
-    invert_factor,
     map_from_matrix,
     matrix_det,
     matrix_inverse,
@@ -152,15 +152,15 @@ class GradingClassification:
 
 
 def _zero_shape(nw):
+    """Normalization leaves weights with a zero entry, not all zero, in
+    four shapes: (a, b, 0) with a > b, (1, 1, 0), (a, 0, -c), (1, 0, 0)."""
     a, b, w2 = nw
     if w2 == 0 and b >= 1:
         if a > b:
             return ZeroWeightShape.DISTINCT_POSITIVE_PAIR
-        assert nw == (1, 1, 0)
         return ZeroWeightShape.EQUAL_POSITIVE_PAIR
     if b == 0 and w2 < 0:
         return ZeroWeightShape.POSITIVE_AND_NEGATIVE
-    assert nw == (1, 0, 0)
     return ZeroWeightShape.SINGLE_POSITIVE
 
 
@@ -264,13 +264,15 @@ def _check_graded(m, cls):
 
 def _graded_chain(m, factors, weights, norm=None):
     """The FactorChain of m, after moving the factors back to the original
-    variables with norm when they were found in normalized ones."""
+    variables with norm when they were found in normalized ones.  This
+    is the final check of every graded decomposition."""
     if norm is not None:
         factors = [norm.to_original(f) for f in factors]
     chain = FactorChain(m, factors)
     g = Grading(weights)
     for f in chain.factors:
-        assert g.is_graded_map(f)
+        if not g.is_graded_map(f):
+            raise InvariantViolation(f"factor {f} is not graded for weights {weights}")
     return chain
 
 
@@ -553,7 +555,6 @@ def wild_witness(weights):
             externally_certified=True,
         )
     norm = cls.normalized
-    c = -norm.weights[2]
     qh, lh = cls.q_hat, cls.l_hat
     tau = PolynomialMap((_U + _V**qh, _V))
     tau_inv = PolynomialMap((_U - _V**qh, _V))
@@ -561,17 +562,13 @@ def wild_witness(weights):
     phi_inv = PolynomialMap((_U, _V - _U**lh))
     eps = compose_chain([tau_inv, phi, tau])
     eps_inv = compose_chain([tau_inv, phi_inv, tau])
-    drop = eps.coords[0] - _U
-    # structural facts the certificate depends on: the lowest-degree
-    # term of the drop has total degree q_hat + l_hat - 1 < q_hat + c,
-    # and the coefficient at u^l_hat v^(q_hat-1) is exactly -q_hat
-    assert drop.coeff((lh, qh - 1)) == -qh
-    assert drop.min_total_degree() == qh + lh - 1
-    assert qh + lh - 1 < qh + c
     lifted = _lift_or_fail(eps, norm.weights)
     lifted_inv = _lift_or_fail(eps_inv, norm.weights)
+    # the lowest-degree term of the drop, -q_hat*u^l_hat*v^(q_hat-1), has
+    # total degree q_hat + l_hat - 1, below the tame bound q_hat + c
     cert = _degree_test(cls, lifted)
-    assert cert.certified and cert.violating_degree == qh + lh - 1
+    if not (cert.certified and cert.violating_degree == qh + lh - 1):
+        raise InvariantViolation(f"witness for {cls.weights} fails its certificate")
     return WildWitness(
         weights=cls.weights,
         classification=cls,
@@ -631,10 +628,7 @@ def decompose_positive(m, weights):
             tail = m.coords[i]
             for col, j in enumerate(idxs):
                 tail = tail - block[r][col] * xs[j]
-            # homogeneity confines the remainder to lower-weight variables
-            assert all(
-                not tail.involves(j) for j in range(n) if w[j] >= level
-            )
+            # the NotGraded check confines the rest to lower-weight variables
             tails.append(tail)
         lin_coords = list(xs)
         for r, i in enumerate(idxs):
@@ -705,8 +699,8 @@ def _zero_distinct_pair(mm):
 
 
 def _zdivmod(num, den):
-    """Exact division with remainder for polynomials in z alone."""
-    assert not den.is_zero()
+    """Exact division with remainder for polynomials in z alone; the
+    Euclid loop only divides by a nonzero den."""
     dd = den.degree_in(2)
     lead = den.coeff((0, 0, dd))
     q = Polynomial.zero(3)
@@ -738,9 +732,7 @@ def _zero_equal_pair(mm):
     a unit in the corner.
     """
     kappa, mu = _linear_in_z(mm.coords[2])
-    for k in (0, 1):
-        # weight one forces exactly one of x, y into every monomial
-        assert all(i + j == 1 for (i, j, _t) in mm.coords[k].terms)
+    # the NotGraded check puts exactly one of x, y in each monomial of A..D
     A = _z_matrix_entry(mm.coords[0], 0)
     B = _z_matrix_entry(mm.coords[0], 1)
     C = _z_matrix_entry(mm.coords[1], 0)
@@ -767,7 +759,7 @@ def _zero_equal_pair(mm):
             q, _ = _zdivmod(A, C)
             A, B = A - q * C, B - q * D
             factors.append(PolynomialMap((_X + q * _Y, _Y, _Z)))
-    assert A.is_constant() and D.is_constant()
+    # row operations keep det, so A*D = det is a nonzero constant: A, D are too
     lamA = A.constant_value()
     lamD = D.constant_value()
     diag = PolynomialMap((lamA * _X, lamD * _Y, _Z))
@@ -895,8 +887,7 @@ def _mat_mul(p, q):
 
 def _emit_split(emitted, p):
     """Emit a lower-triangular matrix as a diagonal map and a pure shear."""
-    (pa, pb), (pc, pd) = p
-    assert pb == 0
+    (pa, _), (pc, pd) = p
     if p == _ID2:
         return
     if pc == 0:
@@ -908,8 +899,8 @@ def _emit_split(emitted, p):
 
 
 def _strip_first_shear(emitted, scale, addend):
-    """Write (scale*u + addend(v), v) as a pure shear times a linear map."""
-    assert addend.constant_term() == 0
+    """Write (scale*u + addend(v), v) as a pure shear times a linear map;
+    addend has no constant term, as the walk checks the origin."""
     beta = addend.coeff((0, 1))
     nonlin = addend - beta * _V
     if not nonlin.is_zero():
@@ -926,8 +917,7 @@ def _absorb(emitted, p, f):
     that recursion lands in a non-recursive case, so the depth is at
     most one.
     """
-    d = elementary_detail(f)
-    assert d is not None
+    d = elementary_detail(f)  # not None: the walk passes elementary factors only
     (pa, pb), (pc, pd) = p
     if d.index == 0:
         if pb == 0:
@@ -965,15 +955,19 @@ def rewrite_liftable_chain(chain, weights):
     qh = q_hat(a, b, c)
     if qh != 1:
         raise QHatNotOne(f"rewrite applies when the threshold exponent is 1, got {qh}")
-    return _rewrite_walk(chain.target, chain.factors, plane_residue_grading(a, b, c))
+    rg = plane_residue_grading(a, b, c)
+    return FactorChain(chain.target, _rewrite_walk(chain.factors, rg))
 
 
-def _rewrite_walk(target, factors, rg):
-    """Left-to-right walk keeping prefix = emitted composed with pending.
+def _rewrite_walk(factors, rg):
+    """Left-to-right walk keeping prefix = emitted composed with pending;
+    returns the emitted factors.
 
     Each factor is checked as the walk reaches it, so the first faulty
     factor decides the error: graded for rg, origin-preserving, then
-    linear or elementary.
+    linear or elementary.  Each emitted factor is graded, and none is
+    the identity: a linear map is graded when diagonal or when u and v
+    share a weight, and an emitted shear holds terms of a graded addend.
     """
     emitted = []
     pending = _ID2
@@ -997,46 +991,32 @@ def _rewrite_walk(target, factors, rg):
             _emit_split(emitted, pending)
         else:
             emitted.append(map_from_matrix([list(pending[0]), list(pending[1])]))
-    chain = FactorChain(target, emitted)
-    for f in chain.factors:
-        assert rg.is_graded_map(f)
-    return chain
+    return emitted
 
 
 # ---------------------------------------------------------------------------
 # the mixed-sign pipeline and the dispatcher
 
-def _emit_three(lifted):
-    """Split a lifted factor into linear and elementary pieces."""
-    cls = classify_map(lifted)
-    if cls is MapClass.IDENTITY:
-        return []
-    if cls in (MapClass.LINEAR, MapClass.ELEMENTARY):
-        return [lifted]
-    # a lower-triangular plane map lifts to (A*x, C*x*z^t + D*y, z)
-    sc0 = _scalar_coord(lifted.coords[0], 0, 3)
-    assert sc0 is not None and lifted.coords[2] == _Z
-    dcoef = lifted.coords[1].coeff((0, 1, 0))
-    rest = lifted.coords[1] - dcoef * _Y
-    assert dcoef != 0 and not rest.involves(1)
-    out = [PolynomialMap((sc0 * _X, dcoef * _Y, _Z))]
-    out.append(PolynomialMap((_X, _Y + rest * _div(1, dcoef), _Z)))
-    return out
-
-
 def _mixed_pipeline(cls, mm):
     """Restrict, decompose, rewrite, lift: mm is graded for the normalized
-    mixed coprime weights of cls."""
+    mixed coprime weights of cls.
+
+    Setting z = 1 is injective on graded maps fixing z and respects
+    composition, so the caller's final chain check covers both plane
+    recompositions.  A rewritten linear factor with a v term in its
+    first coordinate lifts only when a = b, with no z: every lift is
+    one linear or elementary factor.
+    """
     nw = cls.normalized.weights
     scaling, zfixed = _split_z(mm)
     pm = restrict_to_plane(zfixed)
     rg = plane_residue_grading(nw[0], nw[1], -nw[2])
-    rewritten = _rewrite_walk(pm, decompose_plane_graded(pm, rg).factors, rg)
+    factors, _ = _descend(pm, None)
     out = []
     if scaling != identity_map(3):
         out.append(scaling)
-    for f in rewritten.factors:
-        out.extend(_emit_three(_lift_or_fail(f, nw)))
+    for f in _rewrite_walk(factors, rg):
+        out.append(_lift_or_fail(f, nw))
     return out
 
 
@@ -1199,8 +1179,4 @@ def invert_graded(m, weights):
             "graded-wild; wild witnesses carry their own inverses",
             certificate=result,
         )
-    if not result.factors:
-        return identity_map(3)
-    inverse = compose_chain([invert_factor(f) for f in reversed(result.factors)])
-    assert verify_inverse_pair(m, inverse)
-    return inverse
+    return result.inverse()

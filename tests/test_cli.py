@@ -5,7 +5,9 @@ import xml.dom.minidom
 
 import pytest
 
+from tamekit import cli
 from tamekit.cli import main
+from tamekit.errors import InvariantViolation
 from tamekit.maps import PolynomialMap, verify_inverse_pair
 from tamekit.parsing import parse_map
 from tamekit.poly import Polynomial
@@ -286,3 +288,14 @@ def test_usage_errors(capsys):
     assert code == 0
     code, _, err = run(capsys, "restrict", "@/nonexistent/path.json")
     assert code == 64 and "error:" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("stray"), InvariantViolation("bad chain")])
+def test_internal_errors_exit_70(capsys, monkeypatch, exc):
+    # a bug must not exit 1, which means "not an automorphism"
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_classify", broken)
+    code, _, err = run(capsys, "classify", "7", "2", "-3")
+    assert code == 70 and err.startswith("internal error:")

@@ -188,3 +188,42 @@ def test_random_tame_composites_round_trip(pieces):
 @given(st.lists(_shears(), min_size=1, max_size=3))
 def test_decomposition_certifies_membership(pieces):
     assert is_plane_automorphism(compose_chain(pieces))
+
+
+_PLANE_GRADINGS = [
+    Grading((1, 1)),
+    Grading((2, 1)),
+    Grading((1, 2)),
+    ResidueGrading((1, 2), 3),
+    ResidueGrading((2, 1), 3),
+    ResidueGrading((1, 1), 2),
+    ResidueGrading((1, 2), 5),
+]
+
+
+def _graded_factors(grading):
+    """Diagonal maps, and the unit shears and swap graded for grading."""
+    shears = [PolynomialMap((x + y**k, y)) for k in range(1, 5)]
+    shears += [PolynomialMap((x, y + x**k)) for k in range(1, 5)]
+    graded = [f for f in shears + [plane_swap()] if grading.is_graded_map(f)]
+    diag = st.tuples(
+        st.sampled_from([1, -1, 2]), st.sampled_from([1, Fraction(-1, 2), 3])
+    ).map(lambda t: PolynomialMap((t[0] * x, t[1] * y)))
+    return st.one_of(st.sampled_from(graded), diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PLANE_GRADINGS), st.data())
+def test_graded_descent_factors_are_graded(grading, data):
+    pieces = data.draw(st.lists(_graded_factors(grading), min_size=1, max_size=5))
+    chain = decompose_plane_graded(compose_chain(pieces), grading)
+    assert all(grading.is_graded_map(f) for f in chain.factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_shears(), min_size=1, max_size=3))
+def test_origin_descent_factors_preserve_origin(pieces):
+    moved = compose_chain(pieces)
+    m = PolynomialMap(c - c.constant_term() for c in moved.coords)
+    chain = decompose_plane_origin(m)
+    assert all(f.is_origin_preserving() for f in chain.factors)
