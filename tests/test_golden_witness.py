@@ -1,0 +1,95 @@
+"""Golden witnesses for every wild grading of criterion 4.
+
+``render_witness_golden`` builds ``wild_witness`` for each of the 1527
+wild triples (a, b, -c) of criterion 3's a, b, c <= 40 sweep, in sweep
+order, and writes one line per triple: the threshold exponents, a
+SHA-256 of the rendered witness map and inverse, one of the rendered
+plane map and plane inverse, and the certificate fields.
+``tests/golden/witness.txt`` is the expected output; a change to it is
+a change of behaviour.  Regenerate it only on purpose, with
+
+    PYTHONPATH=src python tests/test_golden_witness.py > tests/golden/witness.txt
+
+An integer argument N renders only every N-th triple.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
+import tamekit
+from tamekit import wild_witness
+
+GOLDEN = Path(__file__).parent / "golden" / "witness.txt"
+SUBPROCESS_STEP = 10
+
+
+def _directly_wild(a, b, c):
+    # a = q*b + p*c with q >= 2 and p >= 1, by direct search
+    for q in range(2, (a - c) // b + 1):
+        rest = a - q * b
+        if rest >= c and rest % c == 0:
+            return True
+    return False
+
+
+def wild_triples():
+    return [
+        (a, b, c)
+        for a in range(1, 41)
+        for b in range(1, a + 1)
+        for c in range(1, 41)
+        if gcd(gcd(a, b), c) == 1 and gcd(a, c) == 1 and gcd(b, c) == 1
+        and _directly_wild(a, b, c)
+    ]
+
+
+def _digest(first, second):
+    text = first.render() + "\n" + second.render()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def witness_line(a, b, c):
+    wit = wild_witness((a, b, -c))
+    cert = wit.certificate
+    return (
+        f"{wit.weights} q={wit.q_hat} l={wit.l_hat} p={wit.shear_exponent} "
+        f"map={_digest(wit.map, wit.inverse)} "
+        f"plane={_digest(wit.plane_map, wit.plane_inverse)} "
+        f"{cert.verdict} t={cert.threshold} scale={cert.scale} "
+        f"at={cert.violating_exponents}@{cert.violating_degree}"
+    )
+
+
+def render_witness_golden(step=1):
+    return "".join(witness_line(*t) + "\n" for t in wild_triples()[::step])
+
+
+def _golden_lines():
+    return GOLDEN.read_text().splitlines(keepends=True)
+
+
+def test_witnesses_match_golden():
+    lines = _golden_lines()
+    assert len(lines) == 1527
+    assert render_witness_golden() == "".join(lines)
+
+
+def test_witnesses_match_golden_under_optimize_flag():
+    # python -O strips asserts; the witnesses must not depend on them
+    src = str(Path(tamekit.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", __file__, str(SUBPROCESS_STEP)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout == "".join(_golden_lines()[::SUBPROCESS_STEP])
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render_witness_golden(int(sys.argv[1]) if len(sys.argv) > 1 else 1))
