@@ -16,6 +16,7 @@ coordinates.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .errors import (
     ArityMismatch,
@@ -91,11 +92,12 @@ class Grading:
             raise ArityMismatch(
                 f"map arity {m.arity} does not match grading arity {self.arity}"
             )
-        for i, c in enumerate(m.coords):
-            if c.is_zero():
-                continue
-            if not self.is_homogeneous(c) or self.degree(c) != self.weights[i]:
-                return False
+        # one pass: each term's weight is computed once
+        w = self.weights
+        for want, c in zip(w, m.coords):
+            for e in c.terms:
+                if sum(map(mul, w, e)) != want:
+                    return False
         return True
 
     def _check_poly(self, poly):
@@ -153,11 +155,12 @@ class ResidueGrading:
             raise ArityMismatch(
                 f"map arity {m.arity} does not match grading arity {self.arity}"
             )
-        for i, c in enumerate(m.coords):
-            if c.is_zero():
-                continue
-            if not self.is_homogeneous(c) or self.homogeneous_degree(c) != self.weights[i]:
-                return False
+        # one pass; the stored weights are already reduced mod the modulus
+        w, mod = self.weights, self.modulus
+        for want, c in zip(w, m.coords):
+            for e in c.terms:
+                if sum(map(mul, w, e)) % mod != want:
+                    return False
         return True
 
     def _check_poly(self, poly):
@@ -186,6 +189,9 @@ def _permuted(m, perm):
     # m.coords[perm[i]] with its exponent tuple read in the order perm
     if m.arity != 3:
         raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
+    if perm == (0, 1, 2):
+        # maps are immutable by convention, so the identity conjugate is m
+        return m
     p0, p1, p2 = perm
     move = lambda e: (e[p0], e[p1], e[p2])
     return PolynomialMap(tuple(m.coords[p].map_exponents(3, move) for p in perm))

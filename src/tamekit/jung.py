@@ -140,12 +140,13 @@ def decompose_plane(m, trace=None):
     """Factor a plane automorphism into affine and elementary maps.
 
     The returned FactorChain recomposes to m exactly (checked at
-    construction).  ``trace``, if given, is called with the current map
-    and its polygon area once per descent step.
+    construction; a failure is an InvariantViolation).  ``trace``, if
+    given, is called with the current map and its polygon area once per
+    descent step.
     """
     _check_plane(m)
     factors, notes = _descend(m, trace)
-    return FactorChain(m, factors, notes)
+    return FactorChain._derived(m, factors, notes)
 
 
 def decompose_plane_origin(m, trace=None):

@@ -396,6 +396,15 @@ class FactorChain:
         self.factors = factors
         self.notes = notes
 
+    @classmethod
+    def _derived(cls, target, factors, notes=None):
+        """A chain tamekit derived itself: factors that fail to recompose
+        are a bug in tamekit (InvariantViolation), not a wrong input."""
+        try:
+            return cls(target, factors, notes)
+        except WrongShape as exc:
+            raise InvariantViolation(f"derived chain: {exc}") from exc
+
     def __len__(self):
         return len(self.factors)
 

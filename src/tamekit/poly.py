@@ -287,16 +287,18 @@ class Polynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative int, got {exponent!r}")
-        result = Polynomial.constant(self.arity, 1)
-        base = self
+        # square on ints: (P / d) ** e is P ** e / d ** e with P = d * self
+        den = _common_denominator(self.terms)
+        base = _scaled_terms(self.terms, den)
+        result = {(0,) * self.arity: 1}
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = _int_product(self.arity, result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _int_product(self.arity, base, base)
+        return Polynomial._raw(self.arity, _unscaled_terms(result, den**exponent))
 
     # ------------------------------------------------------------------
     # calculus and substitution

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import (
     ArityMismatch,
@@ -268,7 +268,7 @@ def _graded_chain(m, factors, weights, norm=None):
     is the final check of every graded decomposition."""
     if norm is not None:
         factors = [norm.to_original(f) for f in factors]
-    chain = FactorChain(m, factors)
+    chain = FactorChain._derived(m, factors)
     g = Grading(weights)
     for f in chain.factors:
         if not g.is_graded_map(f):
@@ -475,9 +475,11 @@ class WildWitness:
 
         Always checks gradedness under the original weights, that the
         two shear factors are literal inverse pairs, and that the plane
-        map and plane inverse really are the stated conjugates.  The
-        conjugation is re-derived by folding the two small factors
-        first and substituting the outer shear last; that order keeps
+        map and plane inverse really are the stated conjugates.
+        wild_witness writes the conjugates down from binomial sums, so
+        composing the factors here is an independent second derivation,
+        not a replay of the first.  The composition folds the two small
+        factors first and substitutes the outer shear last; that order keeps
         every intermediate a short sum of binomial powers, where any
         other association expands powers of the full conjugate.
         Together with the factor pair checks that pins the inverse
@@ -525,8 +527,36 @@ class WildWitness:
         )
 
 
+def _conjugated_shear(qh, lh, sign):
+    """tau_inv phi tau in closed form, for tau = (u + v^qh, v) and
+    phi = (u, v + sign*u^lh) with sign 1 or -1."""
+    first = {(1, 0): 1}
+    for k in range(1, qh + 1):
+        ck = sign**k * comb(qh, k)
+        for j in range(lh * k + 1):
+            first[(j, qh - k + qh * (lh * k - j))] = -ck * comb(lh * k, j)
+    second = {(0, 1): 1}
+    for j in range(lh + 1):
+        second[(j, qh * (lh - j))] = sign * comb(lh, j)
+    return PolynomialMap((Polynomial(2, first), Polynomial(2, second)))
+
+
 def wild_witness(weights):
     """Build an explicit graded-wild automorphism for admitting weights.
+
+    For mixed weights with threshold exponents q = q_hat and l = l_hat
+    the plane witness is eps = tau_inv phi tau, with tau = (u + v^q, v)
+    and phi = (u, v + u^l).  The binomial theorem gives it directly:
+
+        eps = (u - sum_{k>=1} sum_j C(q,k) C(lk,j) u^j v^(q-k+q(lk-j)),
+               v + sum_j C(l,j) u^j v^(q(l-j)))
+
+    and eps_inv, the conjugate of phi_inv = (u, v - u^l), puts (-1)^k
+    in the first sum and a minus sign in front of the second.  No two
+    pairs (k, j) give the same monomial: for fixed j the power of v is
+    q(1 - j) + k(ql - 1), and ql - 1 >= 1 because q >= 2 and l >= 1.
+    Nor does any pair give u or v itself.  So every coefficient is a
+    single product of binomials, and nothing is composed.
 
     Raises NotWildAdmitting when the classification says the grading
     only has graded-tame automorphisms.
@@ -556,12 +586,8 @@ def wild_witness(weights):
         )
     norm = cls.normalized
     qh, lh = cls.q_hat, cls.l_hat
-    tau = PolynomialMap((_U + _V**qh, _V))
-    tau_inv = PolynomialMap((_U - _V**qh, _V))
-    phi = PolynomialMap((_U, _V + _U**lh))
-    phi_inv = PolynomialMap((_U, _V - _U**lh))
-    eps = compose_chain([tau_inv, phi, tau])
-    eps_inv = compose_chain([tau_inv, phi_inv, tau])
+    eps = _conjugated_shear(qh, lh, 1)
+    eps_inv = _conjugated_shear(qh, lh, -1)
     lifted = _lift_or_fail(eps, norm.weights)
     lifted_inv = _lift_or_fail(eps_inv, norm.weights)
     # the lowest-degree term of the drop, -q_hat*u^l_hat*v^(q_hat-1), has
@@ -956,7 +982,7 @@ def rewrite_liftable_chain(chain, weights):
     if qh != 1:
         raise QHatNotOne(f"rewrite applies when the threshold exponent is 1, got {qh}")
     rg = plane_residue_grading(a, b, c)
-    return FactorChain(chain.target, _rewrite_walk(chain.factors, rg))
+    return FactorChain._derived(chain.target, _rewrite_walk(chain.factors, rg))
 
 
 def _rewrite_walk(factors, rg):
@@ -1112,15 +1138,15 @@ def _decompose_trivial(m):
     """Zero weights: every map is graded, so only shaped cases decompose."""
     cls = classify_map(m)
     if cls is MapClass.IDENTITY:
-        return FactorChain(m, [])
+        return FactorChain._derived(m, [])
     if cls in (MapClass.LINEAR, MapClass.AFFINE):
         if matrix_det(affine_parts(m)[0]) == 0:
             raise NotAnAutomorphism(f"{m} has a singular linear part")
-        return FactorChain(m, [m])
+        return FactorChain._derived(m, [m])
     if cls is MapClass.ELEMENTARY:
-        return FactorChain(m, [m])
+        return FactorChain._derived(m, [m])
     if cls is MapClass.TRIANGULAR:
-        return FactorChain(m, _split_triangular(m))
+        return FactorChain._derived(m, _split_triangular(m))
     raise WildAdmittingUndecided(
         "the zero grading admits wild automorphisms; only linear, "
         "elementary and triangular shapes are decomposed directly"

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tamekit.errors import (
     ArityMismatch,
@@ -155,6 +155,21 @@ def test_conjugation_matches_permutation_oracle():
     assert seen == set(permutations(range(3)))
 
 
+@pytest.mark.parametrize("w", [(7, 2, -3), (2, 1, -3), (3, 2, 1), (1, 1, 0)])
+def test_identity_conjugation_matches_permutation_oracle(w):
+    # canonical weights need no permutation: both directions return the
+    # map itself, which is what composing with the identity gives
+    n = normalize_weights(w)
+    assert n.permutation == (0, 1, 2)
+    m = PolynomialMap((X * Y**2 + 3 * Z - 1, Y + X**2 * Z**3, Fraction(1, 2) * X * Z))
+    r = perm_map(n.permutation)
+    assert n.to_normalized(m) == compose(r, compose(m, r)) == m
+    assert n.to_original(m) == compose(r, compose(m, r)) == m
+    assert n.to_normalized(m) is m and n.to_original(m) is m
+    with pytest.raises(ArityMismatch):
+        n.to_normalized(PolynomialMap((x, y)))
+
+
 def test_q_hat_values():
     assert q_hat(7, 2, 3) == 2
     assert q_hat(3, 2, 5) == -1
@@ -237,3 +252,54 @@ def test_conjugation_is_inverse_pair(w):
     m = PolynomialMap((X * Y, Y + Z**2, X + 1))
     assert n.to_original(n.to_normalized(m)) == m
     assert n.to_normalized(n.to_original(m)) == m
+
+
+def _two_pass_is_graded_map(g, m):
+    # the oracle: homogeneity first, then the degree of each coordinate
+    for i, c in enumerate(m.coords):
+        if c.is_zero():
+            continue
+        if not g.is_homogeneous(c):
+            return False
+        deg = g.degree(c) if isinstance(g, Grading) else g.homogeneous_degree(c)
+        if deg != g.weights[i]:
+            return False
+    return True
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=5),
+)
+
+
+@st.composite
+def gradings_and_maps(draw):
+    arity = draw(st.sampled_from([2, 3]))
+    weights = draw(st.tuples(*[st.integers(min_value=-4, max_value=4)] * arity))
+    if draw(st.booleans()):
+        g = Grading(weights)
+    else:
+        g = ResidueGrading(weights, draw(st.integers(min_value=1, max_value=6)))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * arity)
+    coords = []
+    for want in g.weights:
+        terms = draw(st.dictionaries(exps, coefficients, max_size=4))
+        if draw(st.booleans()):
+            # keep only the terms of the coordinate's weight, so that
+            # graded maps (zero and constant coordinates included) occur
+            terms = {e: c for e, c in terms.items() if g.weight(e) == want}
+        coords.append(Polynomial(arity, terms))
+    return g, PolynomialMap(coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gradings_and_maps())
+@example((Grading((2, 1, -3)), PolynomialMap((X + Y**2, Y, Polynomial.zero(3)))))
+@example((Grading((1, 1, 0)), PolynomialMap((X, Y, Z + Fraction(1, 2)))))
+@example((Grading((-2, 1, 0)), PolynomialMap((Fraction(2, 3) * X, Y + 1, Z))))
+@example((ResidueGrading((1, 2), 3), PolynomialMap((x + y**2, Polynomial.constant(2, 5)))))
+@example((ResidueGrading((-1, 2), 3), PolynomialMap((y**2 + Fraction(1, 3) * x**2 * y, y))))
+def test_one_pass_graded_map_check_matches_two_pass_oracle(case):
+    g, m = case
+    assert g.is_graded_map(m) == _two_pass_is_graded_map(g, m)

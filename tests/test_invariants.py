@@ -9,12 +9,15 @@ from pathlib import Path
 import pytest
 
 import tamekit
+import tamekit.jung
 import tamekit.maps
+import tamekit.space
+from tamekit.cli import main
 from tamekit.errors import InvariantViolation
-from tamekit.jung import invert_plane
+from tamekit.jung import decompose_plane, invert_plane
 from tamekit.maps import PolynomialMap
 from tamekit.poly import Polynomial
-from tamekit.space import invert_graded
+from tamekit.space import decompose_graded, invert_graded
 
 SRC = Path(tamekit.__file__).parent
 
@@ -77,3 +80,29 @@ def test_wrong_factor_inverse_raises_under_optimize_flag():
         check=True,
     )
     assert out.stdout.split() == ["raised", "raised"]
+
+
+def test_derived_chain_that_fails_to_recompose_exits_70(monkeypatch, capsys):
+    # a chain tamekit builds itself that does not recompose is a bug, not
+    # a wrong input shape (exit 64); a caller's own chain keeps WrongShape
+    # (tests/test_maps.py)
+    pipeline = tamekit.space._mixed_pipeline
+    monkeypatch.setattr(tamekit.space, "_mixed_pipeline", lambda *a: pipeline(*a)[:-1])
+    with pytest.raises(InvariantViolation):
+        decompose_graded(PolynomialMap((x + y**2 * z, y, z)), (1, 1, -1))
+    code = main(["decompose", "(x + y^2*z, y, z)", "--grading", "1,1,-1"])
+    assert code == 70
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_plane_descent_that_fails_to_recompose_is_an_invariant_violation(monkeypatch):
+    descend = tamekit.jung._descend
+
+    def drop_last(m, trace):
+        factors, notes = descend(m, trace)
+        return factors[:-1], notes[:-1]
+
+    monkeypatch.setattr(tamekit.jung, "_descend", drop_last)
+    with pytest.raises(InvariantViolation):
+        decompose_plane(PolynomialMap((u + v**2, v)))
+

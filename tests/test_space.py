@@ -305,6 +305,36 @@ def test_witness_drop_term_structure():
         assert wit.verify()
 
 
+def _witness_classes(max_sum):
+    """One wild triple of criterion 3's a, b, c <= 40 sweep for each
+    (q_hat, l_hat) class with q_hat + l_hat <= max_sum."""
+    reps = {}
+    for a in range(1, 41):
+        for b in range(1, a + 1):
+            for c in range(1, 41):
+                if gcd(gcd(a, b), c) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+                    continue
+                cls = classify_grading((a, b, -c))
+                if cls.admits_wild and cls.q_hat + cls.l_hat <= max_sum:
+                    reps.setdefault((cls.q_hat, cls.l_hat), (a, b, -c))
+    return reps
+
+
+def test_closed_form_witness_matches_composition():
+    # wild_witness writes the conjugates down from binomials; composing the
+    # shears literally must give exactly the same plane maps
+    reps = _witness_classes(14)
+    assert len(reps) == 74
+    for (qh, lh), weights in sorted(reps.items()):
+        tau = PolynomialMap((u + v**qh, v))
+        tau_inv = PolynomialMap((u - v**qh, v))
+        phi = PolynomialMap((u, v + u**lh))
+        phi_inv = PolynomialMap((u, v - u**lh))
+        wit = wild_witness(weights)
+        assert wit.plane_map == compose_chain([tau_inv, phi, tau]), weights
+        assert wit.plane_inverse == compose_chain([tau_inv, phi_inv, tau]), weights
+
+
 def test_witness_l_hat_edge():
     # c = 1 allows l_hat = c, the one case where the conjugating shear
     # exponent meets the modulus
