@@ -9,7 +9,6 @@ only numeric bound is the wall-clock budget on the plane round trip.
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -35,7 +34,7 @@ from tamekit import (
     verify_inverse_pair,
     wild_witness,
 )
-from tamekit.maps import map_from_matrix
+from test_golden_plane import chain_line, criterion_1_maps, golden_lines
 
 u, v = Polynomial.variables(2)
 x, y, z = Polynomial.variables(3)
@@ -57,35 +56,16 @@ def _scored(record, number, label):
 # criterion 1: plane tame maps decompose and recompose exactly
 
 
-def _plane_factor(rng):
-    kind = rng.randrange(6)
-    if kind in (0, 1):
-        d = rng.randrange(2, 5)
-        c = Fraction(rng.choice(NONZERO), rng.randrange(1, 4))
-        return PolynomialMap((u + c * v**d, v))
-    if kind in (2, 3):
-        d = rng.randrange(2, 5)
-        c = Fraction(rng.choice(NONZERO), rng.randrange(1, 4))
-        return PolynomialMap((u, v + c * u**d))
-    if kind == 4:
-        while True:
-            a, b, c, d = (rng.randrange(-3, 4) for _ in range(4))
-            if a * d - b * c != 0:
-                return map_from_matrix([[a, b], [c, d]])
-    return PolynomialMap((u + rng.randrange(-3, 4), v + rng.randrange(-3, 4)))
-
-
 def test_criterion_1_plane_round_trip(verdict):
     with _scored(verdict, 1, "500 plane tame maps round trip in under 60s"):
-        rng = random.Random(20260818)
+        golden = golden_lines()
+        assert len(golden) == 500
         start = time.monotonic()
-        for _ in range(500):
-            m = compose_chain(
-                [_plane_factor(rng) for _ in range(rng.randrange(1, 7))]
-            )
+        for i, m in criterion_1_maps():
             areas = []
             chain = decompose_plane(m, trace=lambda cur, area: areas.append(area))
             assert chain.composed() == m
+            assert chain_line(i, chain) == golden[i]
             # the Newton polygon area must shrink strictly at every step
             assert all(later < earlier for earlier, later in zip(areas, areas[1:]))
         assert time.monotonic() - start < 60.0
