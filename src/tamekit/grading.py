@@ -59,25 +59,23 @@ class Grading:
         self._check_poly(poly)
         if poly.is_zero():
             raise ZeroPolynomial("the zero polynomial has no weighted degree")
-        return max(self.weight(e) for e in poly.terms)
+        return max(self.weight(e) for e in poly._num)
 
     def top_component(self, poly):
         """Sum of the terms of highest weight."""
         top = self.degree(poly)
-        return Polynomial(
-            poly.arity,
-            {e: c for e, c in poly.terms.items() if self.weight(e) == top},
-        )
+        num = {e: c for e, c in poly._num.items() if self.weight(e) == top}
+        return Polynomial._raw(poly.arity, num, poly._den)
 
     def is_homogeneous(self, poly):
         self._check_poly(poly)
-        return len({self.weight(e) for e in poly.terms}) <= 1
+        return len({self.weight(e) for e in poly._num}) <= 1
 
     def homogeneous_degree(self, poly):
         self._check_poly(poly)
         if poly.is_zero():
             raise ZeroPolynomial("the zero polynomial has no weighted degree")
-        found = {self.weight(e) for e in poly.terms}
+        found = {self.weight(e) for e in poly._num}
         if len(found) != 1:
             raise NotHomogeneous(f"{poly} mixes weights {sorted(found)}")
         return found.pop()
@@ -95,7 +93,7 @@ class Grading:
         # one pass: each term's weight is computed once
         w = self.weights
         for want, c in zip(w, m.coords):
-            for e in c.terms:
+            for e in c._num:
                 if sum(map(mul, w, e)) != want:
                     return False
         return True
@@ -138,14 +136,14 @@ class ResidueGrading:
 
     def is_homogeneous(self, poly):
         self._check_poly(poly)
-        return len({self.weight(e) for e in poly.terms}) <= 1
+        return len({self.weight(e) for e in poly._num}) <= 1
 
     def homogeneous_degree(self, poly):
         """The residue all terms share (NotHomogeneous if they differ)."""
         self._check_poly(poly)
         if poly.is_zero():
             raise ZeroPolynomial("the zero polynomial has no residue degree")
-        found = {self.weight(e) for e in poly.terms}
+        found = {self.weight(e) for e in poly._num}
         if len(found) != 1:
             raise NotHomogeneous(f"{poly} mixes residues {sorted(found)}")
         return found.pop()
@@ -158,7 +156,7 @@ class ResidueGrading:
         # one pass; the stored weights are already reduced mod the modulus
         w, mod = self.weights, self.modulus
         for want, c in zip(w, m.coords):
-            for e in c.terms:
+            for e in c._num:
                 if sum(map(mul, w, e)) % mod != want:
                     return False
         return True

@@ -61,12 +61,9 @@ def _shear_for_edge(edge):
 
 def _axis_linear(f):
     """(axis, scale, shift) when f = scale * variable + shift, else None."""
-    for axis in (0, 1):
-        unit = (1, 0) if axis == 0 else (0, 1)
-        scale = f.coeff(unit)
-        shift = f.constant_term()
-        if scale and set(f.terms) <= {unit, (0,) * 2}:
-            return axis, scale, shift
+    for axis, unit in enumerate(((1, 0), (0, 1))):
+        if unit in f._num and f._num.keys() <= {unit, (0, 0)}:
+            return axis, f.coeff(unit), f.constant_term()
     return None
 
 

@@ -229,7 +229,7 @@ def affine_parts(m):
     """(matrix, constants) of an affine map; WrongShape otherwise."""
     n = m.arity
     for c in m.coords:
-        if any(sum(e) > 1 for e in c.terms):
+        if any(sum(e) > 1 for e in c._num):
             raise WrongShape(f"{m} is not affine")
     unit = lambda j: tuple(1 if k == j else 0 for k in range(n))
     matrix = [[m.coords[i].coeff(unit(j)) for j in range(n)] for i in range(n)]
@@ -300,7 +300,7 @@ def is_triangular(m):
         if scale == 0:
             return False
         rest = m.coords[i] - scale * xs[i]
-        if any(exps[j] for exps in rest.terms for j in range(i + 1)):
+        if any(exps[j] for exps in rest._num for j in range(i + 1)):
             return False
     return True
 
@@ -309,9 +309,9 @@ def classify_map(m):
     n = m.arity
     if m == identity_map(n):
         return MapClass.IDENTITY
-    if all(c.terms and all(sum(e) == 1 for e in c.terms) for c in m.coords):
+    if all(c._num and all(sum(e) == 1 for e in c._num) for c in m.coords):
         return MapClass.LINEAR
-    if all(all(sum(e) <= 1 for e in c.terms) for c in m.coords):
+    if all(all(sum(e) <= 1 for e in c._num) for c in m.coords):
         return MapClass.AFFINE
     if elementary_detail(m) is not None:
         return MapClass.ELEMENTARY

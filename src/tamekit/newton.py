@@ -34,7 +34,7 @@ def newton_polygon(f):
         )
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
-    pts = sorted(set(f.terms) | {(0, 0)})
+    pts = sorted(set(f._num) | {(0, 0)})
     if len(pts) == 1:
         return (pts[0],)
     lower = []

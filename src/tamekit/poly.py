@@ -1,10 +1,12 @@
 """Exact sparse polynomials over the rationals.
 
-Coefficients are kept as ``int`` whenever possible and ``Fraction``
-otherwise, so arithmetic never loses exactness and the common integer
-case stays fast.  A polynomial is a dict from exponent tuples to
-nonzero coefficients; the constructor canonicalizes, so two equal
-polynomials always have equal dicts.
+A polynomial is stored as integer numerators over one positive common
+denominator: ``_num`` maps exponent tuples to nonzero ints and ``_den``
+shares no factor with all of them, so two equal polynomials always have
+equal ``(_num, _den)``.  Every kernel works on these integers; the
+``terms`` mapping of ``int``/``Fraction`` coefficients is a read-only
+view that builds each coefficient when it is read (it is ``_num``
+itself when the denominator is 1).
 
 Arity (number of variables) is explicit.  Mixing arities raises
 ArityMismatch instead of guessing.
@@ -12,8 +14,9 @@ ArityMismatch instead of guessing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ArityMismatch, ConstantPolynomial, ZeroPolynomial
 
@@ -21,10 +24,8 @@ DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
 def _coerce(value):
-    # canonical coefficients are exactly int or exactly Fraction, so the
-    # kernels below can test ``type(c) is Fraction`` instead of running
-    # the slower ABC isinstance; denominator-1 Fractions collapse to int
-    # so dict lookups and arithmetic stay on the fast integer path
+    # boundary coefficients are exactly int or exactly Fraction, and a
+    # denominator-1 Fraction collapses to int, so each value has one form
     kind = type(value)
     if kind is int:
         return value
@@ -41,32 +42,28 @@ def _coerce(value):
     )
 
 
-def _common_denominator(terms):
-    den = 1
-    for c in terms.values():
-        if type(c) is Fraction:
-            d = c.denominator
-            den = den // gcd(den, d) * d
-    return den
+def _scalar(num, den):
+    # the coefficient num / den as an int or a reduced Fraction
+    return num if den == 1 else _coerce(Fraction(num, den))
 
 
-def _scaled_terms(terms, den):
-    # multiply every coefficient by den, which the caller chose so the
-    # results are plain ints
-    if den == 1:
-        return terms
-    return {
-        e: c.numerator * (den // c.denominator) if type(c) is Fraction else c * den
-        for e, c in terms.items()
-    }
+class _Terms(Mapping):
+    """The coefficients num / den, each built when it is read; length and
+    iteration read the numerators alone."""
 
+    __slots__ = ("_num", "_den")
 
-def _unscaled_terms(acc, den):
-    # canonical terms of acc / den, where acc holds int numerators that
-    # may include zeros
-    if den == 1:
-        return {e: c for e, c in acc.items() if c}
-    return {e: _coerce(Fraction(c, den)) for e, c in acc.items() if c}
+    def __init__(self, num, den):
+        self._num, self._den = num, den
+
+    def __getitem__(self, exps):
+        return _scalar(self._num[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
 
 
 def _convolve(arity, t1, t2, acc):
@@ -108,12 +105,13 @@ def _int_product(arity, t1, t2):
 class Polynomial:
     """Immutable-by-convention sparse polynomial over Q."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_num", "_den")
 
     def __init__(self, arity, terms=None):
         if not isinstance(arity, int) or arity < 1:
             raise ArityMismatch(f"arity must be a positive int, got {arity!r}")
         clean = {}
+        den = 1
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -129,16 +127,33 @@ class Polynomial:
                 coeff = _coerce(coeff)
                 if coeff:
                     clean[exps] = coeff
+                    if type(coeff) is Fraction:
+                        den = lcm(den, coeff.denominator)
         self.arity = arity
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators share no factor
+        self._num = clean if den == 1 else {
+            e: c.numerator * (den // c.denominator) for e, c in clean.items()
+        }
+        self._den = den
 
     @classmethod
-    def _raw(cls, arity, terms):
-        # internal: terms already canonical, skip the validation pass
+    def _raw(cls, arity, num, den=1):
+        # internal, no validation: nonzero int numerators over den > 0
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         self = object.__new__(cls)
         self.arity = arity
-        self.terms = terms
+        self._num = num
+        self._den = den
         return self
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: int or Fraction coefficient}."""
+        return self._num if self._den == 1 else _Terms(self._num, self._den)
 
     # ------------------------------------------------------------------
     # constructors
@@ -152,7 +167,7 @@ class Polynomial:
         value = _coerce(value)
         if not value:
             return cls.zero(arity)
-        return cls._raw(arity, {(0,) * arity: value})
+        return cls._raw(arity, {(0,) * arity: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, arity, index):
@@ -173,15 +188,14 @@ class Polynomial:
     # predicates and views
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def is_constant(self):
-        return len(self.terms) == 0 or (
-            len(self.terms) == 1 and (0,) * self.arity in self.terms
-        )
+        num = self._num
+        return not num or (len(num) == 1 and (0,) * self.arity in num)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.arity, 0)
+        return _scalar(self._num.get((0,) * self.arity, 0), self._den)
 
     def constant_value(self):
         if not self.is_constant():
@@ -194,30 +208,30 @@ class Polynomial:
             raise ArityMismatch(
                 f"exponent tuple {exps} has length {len(exps)}, expected {self.arity}"
             )
-        return self.terms.get(exps, 0)
+        return _scalar(self._num.get(exps, 0), self._den)
 
     def support(self):
-        return tuple(self.terms)
+        return tuple(self._num)
 
     def total_degree(self):
-        if not self.terms:
+        if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self._num)
 
     def min_total_degree(self):
-        if not self.terms:
+        if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return min(sum(exps) for exps in self.terms)
+        return min(sum(exps) for exps in self._num)
 
     def degree_in(self, index):
-        if not self.terms:
+        if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")
         if not 0 <= index < self.arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        return max(exps[index] for exps in self.terms)
+        return max(exps[index] for exps in self._num)
 
     def involves(self, index):
-        return any(exps[index] for exps in self.terms)
+        return any(exps[index] for exps in self._num)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -228,32 +242,35 @@ class Polynomial:
                 f"cannot combine arity {self.arity} with arity {other.arity}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        # self + sign * other over the lcm of the two denominators
         if not isinstance(other, Polynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Polynomial.constant(self.arity, other)
         self._check_arity(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = acc.get(exps, 0) + coeff
-            if new:
-                acc[exps] = _coerce(new)
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        acc = dict(self._num) if s1 == 1 else {e: c * s1 for e, c in self._num.items()}
+        for e, c in other._num.items():
+            c = acc.get(e, 0) + c * s2
+            if c:
+                acc[e] = c
             else:
-                acc.pop(exps, None)
-        return Polynomial._raw(self.arity, acc)
+                del acc[e]  # only a term of self can cancel
+        return Polynomial._raw(self.arity, acc, d1 * s1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.arity, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.arity, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Polynomial.constant(self.arity, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -261,35 +278,22 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_arity(other)
-            # clearing denominators keeps the convolution on plain ints;
-            # Fraction arithmetic normalizes with a gcd on every single
-            # operation, which dominates runtime on large products
-            den1 = _common_denominator(self.terms)
-            den2 = _common_denominator(other.terms)
-            acc = _convolve(
-                self.arity,
-                _scaled_terms(self.terms, den1),
-                _scaled_terms(other.terms, den2),
-                {},
-            )
-            return Polynomial._raw(self.arity, _unscaled_terms(acc, den1 * den2))
+            num = _int_product(self.arity, self._num, other._num)
+            return Polynomial._raw(self.arity, num, self._den * other._den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         other = _coerce(other)
         if not other:
             return Polynomial.zero(self.arity)
-        return Polynomial._raw(
-            self.arity, {e: _coerce(c * other) for e, c in self.terms.items()}
-        )
+        num = {e: c * other.numerator for e, c in self._num.items()}
+        return Polynomial._raw(self.arity, num, self._den * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative int, got {exponent!r}")
-        # square on ints: (P / d) ** e is P ** e / d ** e with P = d * self
-        den = _common_denominator(self.terms)
-        base = _scaled_terms(self.terms, den)
+        base = self._num
         result = {(0,) * self.arity: 1}
         e = exponent
         while e:
@@ -298,7 +302,7 @@ class Polynomial:
             e >>= 1
             if e:
                 base = _int_product(self.arity, base, base)
-        return Polynomial._raw(self.arity, _unscaled_terms(result, den**exponent))
+        return Polynomial._raw(self.arity, result, self._den**exponent)
 
     # ------------------------------------------------------------------
     # calculus and substitution
@@ -306,13 +310,13 @@ class Polynomial:
     def partial(self, index):
         if not 0 <= index < self.arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        acc = {}
-        for exps, coeff in self.terms.items():
+        # distinct terms keep distinct exponents, so nothing merges
+        num = {}
+        for exps, c in self._num.items():
             e = exps[index]
             if e:
-                key = exps[:index] + (e - 1,) + exps[index + 1:]
-                acc[key] = acc.get(key, 0) + coeff * e
-        return Polynomial(self.arity, acc)
+                num[exps[:index] + (e - 1,) + exps[index + 1:]] = c * e
+        return Polynomial._raw(self.arity, num, self._den)
 
     def map_exponents(self, arity, fn):
         """Move each term's exponent tuple e to ``fn(e)`` in ``arity``
@@ -322,10 +326,11 @@ class Polynomial:
         length ``arity`` and non-negative entries.
         """
         acc = {}
-        for exps, coeff in self.terms.items():
+        get = acc.get
+        for exps, c in self._num.items():
             key = fn(exps)
-            acc[key] = acc.get(key, 0) + coeff
-        return Polynomial._raw(arity, {e: _coerce(c) for e, c in acc.items() if c})
+            acc[key] = get(key, 0) + c
+        return Polynomial._raw(arity, {e: c for e, c in acc.items() if c}, self._den)
 
     def substitute(self, images):
         """Evaluate at ``images``, one per variable.
@@ -333,15 +338,14 @@ class Polynomial:
         Images may be Polynomial (all of one arity) or scalars; scalars
         are lifted to constants of the inferred arity.
 
-        The work stays on plain integers.  Denominators are cleared once
-        per call: each image is written as P_k / d_k with P_k on ints,
-        each coefficient of self is scaled by the powers of the d_k its
-        term lacks, and the sum is divided by the one common denominator
-        at the end.  Terms are grouped by all but the last exponent:
-        within a group the cached powers of the last image are added
-        linearly, and the group is then multiplied by one cached power
-        per earlier variable, so each group costs at most arity - 1
-        products instead of each term costing two.
+        The work stays on plain integers.  Each image is P_k / d_k with
+        P_k its numerators, each numerator of self is scaled by the
+        powers of the d_k its term lacks, and the sum is divided by the
+        one common denominator at the end.  Terms are grouped by all but
+        the last exponent: within a group the cached powers of the last
+        image are added linearly, and the group is then multiplied by
+        one cached power per earlier variable, so each group costs at
+        most arity - 1 products instead of each term costing two.
         """
         images = tuple(images)
         if len(images) != self.arity:
@@ -361,21 +365,17 @@ class Polynomial:
             img if isinstance(img, Polynomial) else Polynomial.constant(target, img)
             for img in images
         ]
-        if not self.terms:
-            return Polynomial.zero(target)
         one = {(0,) * target: 1}
-        dens = [_common_denominator(img.terms) for img in lifted]
         # powers[k][e] is P_k ** e on ints, filled on demand by halving e,
         # so a high power costs O(log e) products and cache entries
-        powers = [{0: one, 1: _scaled_terms(img.terms, d)} for img, d in zip(lifted, dens)]
-        den = _common_denominator(self.terms)
-        scaled = _scaled_terms(self.terms, den)
+        powers = [{0: one, 1: img._num} for img in lifted]
+        den = self._den
         # (k, d_k, highest power of d_k any term needs) for each image
         # with a denominator
         cleared = [
-            (k, d, max(exps[k] for exps in scaled))
-            for k, d in enumerate(dens)
-            if d != 1
+            (k, img._den, max((exps[k] for exps in self._num), default=0))
+            for k, img in enumerate(lifted)
+            if img._den != 1
         ]
         for _, d, top in cleared:
             den *= d**top
@@ -390,7 +390,7 @@ class Polynomial:
 
         last = self.arity - 1
         groups = {}
-        for exps, c in scaled.items():
+        for exps, c in self._num.items():
             for k, d, top in cleared:
                 c *= d ** (top - exps[k])
             prefix = exps[:last]
@@ -408,20 +408,27 @@ class Polynomial:
                     more = power(k, e)
                     factor = more if factor is one else _int_product(target, factor, more)
             _convolve(target, inner, factor, acc)
-        return Polynomial._raw(target, _unscaled_terms(acc, den))
+        return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, den)
 
     # ------------------------------------------------------------------
     # comparison and display
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.arity == other.arity and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_term() == _coerce(other)
+            return (
+                self.arity == other.arity
+                and self._den == other._den
+                and self._num == other._num
+            )
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self.is_constant() and self.constant_term() == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        # a constant equals its scalar, so it hashes like it too
+        if self.is_constant():
+            return hash(self.constant_term())
+        return hash((self.arity, self._den, frozenset(self._num.items())))
 
     def render(self, names=None):
         """Human- and parser-readable text, graded-lex descending."""
@@ -435,17 +442,19 @@ class Polynomial:
             raise ArityMismatch(
                 f"got {len(names)} names for arity {self.arity}"
             )
-        if not self.terms:
+        num, den = self._num, self._den
+        if not num:
             return "0"
         pieces = []
-        order = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        order = sorted(num, key=lambda e: (sum(e), e), reverse=True)
         for exps in order:
-            coeff = self.terms[exps]
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
+            coeff = num[exps]
+            mag = abs(coeff)
             parts = []
-            if mag != 1 or not any(exps):
-                parts.append(str(mag))
+            if mag != den or not any(exps):
+                # mag / den in lowest terms, written as Fraction writes it
+                g = gcd(mag, den)
+                parts.append(str(mag // g) if g == den else f"{mag // g}/{den // g}")
             for name, e in zip(names, exps):
                 if e == 1:
                     parts.append(name)
@@ -453,9 +462,9 @@ class Polynomial:
                     parts.append(f"{name}^{e}")
             body = "*".join(parts)
             if not pieces:
-                pieces.append(f"-{body}" if negative else body)
+                pieces.append(f"-{body}" if coeff < 0 else body)
             else:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
+                pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
         return " ".join(pieces)
 
     def __str__(self):

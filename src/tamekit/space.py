@@ -93,7 +93,7 @@ def _div(num, den):
 def _scalar_coord(coord, index, arity):
     """The scale when coord == scale * variable(index) exactly, else None."""
     unit = tuple(1 if k == index else 0 for k in range(arity))
-    if set(coord.terms) == {unit}:
+    if coord._num.keys() == {unit}:
         return coord.coeff(unit)
     return None
 
@@ -363,12 +363,12 @@ def lift_plane_map(pm, weights):
     rg = plane_residue_grading(a, b, c)
     if not rg.is_graded_map(pm):
         raise NotGradedPlane(f"{pm} is not graded for {rg!r}")
-    for (i, j) in sorted(pm.coords[0].terms):
+    for (i, j) in sorted(pm.coords[0]._num):
         if i == 0 and b * j < a:
             return LiftReport(
                 False, LiftObstruction(ObstructionKind.LOW_MONOMIAL, 0, (i, j))
             )
-    if (0, 0) in pm.coords[1].terms:
+    if (0, 0) in pm.coords[1]._num:
         return LiftReport(
             False, LiftObstruction(ObstructionKind.FREE_TERM, 1, (0, 0))
         )
@@ -436,7 +436,7 @@ def _degree_test(cls, mm):
     lam = pm.coords[0].coeff((1, 0))
     drop = pm.coords[0] - lam * _U
     threshold = qh - cls.normalized.weights[2]
-    for exps in sorted(drop.terms, key=lambda e: (sum(e), e)):
+    for exps in sorted(drop._num, key=lambda e: (sum(e), e)):
         if sum(exps) < threshold:
             return WildnessCertificate(
                 True, cls.weights, qh, threshold, lam, exps, sum(exps)
@@ -683,7 +683,7 @@ def decompose_positive(m, weights):
 
 def _linear_in_z(coord):
     """(kappa, mu) when coord = kappa*z + mu with kappa nonzero."""
-    if not set(coord.terms) <= {(0, 0, 1), (0, 0, 0)}:
+    if not coord._num.keys() <= {(0, 0, 1), (0, 0, 0)}:
         raise NotAnAutomorphism(
             f"third coordinate {coord} must be linear in z for these weights"
         )
@@ -740,13 +740,9 @@ def _zdivmod(num, den):
 
 
 def _z_matrix_entry(coord, var_index):
-    terms = {}
-    for (i, j, t), coeff in coord.terms.items():
-        if var_index == 0 and i == 1:
-            terms[(0, 0, t)] = coeff
-        elif var_index == 1 and j == 1:
-            terms[(0, 0, t)] = coeff
-    return Polynomial(3, terms)
+    # the coefficient of x (var_index 0) or y in coord, a polynomial in z
+    num = {(0, 0, e[2]): c for e, c in coord._num.items() if e[var_index] == 1}
+    return Polynomial._raw(3, num, coord._den)
 
 
 def _zero_equal_pair(mm):

@@ -113,6 +113,25 @@ def test_render_coefficients():
     f = -(x**2) + Fraction(3, 4) * y - 1
     assert f.render() == "-x^2 + 3/4*y - 1"
     assert Polynomial.zero(2).render() == "0"
+    # mixed denominators over one common one render in lowest terms
+    assert (Fraction(1, 6) * x - Fraction(1, 2) * y + 1).render() == "1/6*x - 1/2*y + 1"
+
+
+def test_bool_is_not_a_scalar_to_compare_with():
+    assert (Polynomial.constant(2, 1) == True) is False
+    assert (Polynomial.constant(2, 1) != True) is True
+    assert (Polynomial.zero(2) == False) is False
+
+
+def test_constants_hash_like_their_scalars():
+    for value in (3, -1, 0, Fraction(1, 2), Fraction(-7, 3)):
+        c = Polynomial.constant(2, value)
+        assert c == value
+        assert hash(c) == hash(value)
+        assert c in {value}
+        assert value in {c}
+    assert len({Polynomial.constant(3, 3), 3, Fraction(6, 2)}) == 1
+    assert Polynomial.constant(2, 3) != x
 
 
 # ---------------------------------------------------------------------------

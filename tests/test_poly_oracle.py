@@ -1,11 +1,15 @@
-"""Products, powers, substitution and derivatives checked against sympy.
+"""The polynomial kernels checked against sympy.
 
 sympy is only a test dependency: it serves as an independent exact
-oracle for the integer kernel behind ``*``, ``**`` and ``substitute``,
-and for ``partial`` and ``jacobian_det``.
+oracle for sums, differences, scalar and polynomial products, powers,
+``substitute``, ``map_exponents``, ``partial``, ``jacobian_det`` and the
+coefficient readers.  Every result must also be in normal form: integer
+numerators, none zero, over a positive denominator that shares no factor
+with all of them.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +49,9 @@ def from_sympy(expr, names):
 
 
 def assert_canonical(p):
+    assert type(p._den) is int and p._den >= 1
+    assert all(type(c) is int and c != 0 for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
     for c in p.terms.values():
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
@@ -104,6 +111,81 @@ def test_product_matches_sympy(pair):
     assert_matches(a * b, to_sympy(a, names) * to_sympy(b, names), names)
 
 
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+@example((Fraction(1, 2) * x + Fraction(1, 6) * y, Fraction(1, 2) * x - Fraction(1, 3) * y))
+@example((Fraction(1, 4) * X + 1, Fraction(3, 4) * X - Fraction(1, 2)))  # a 1/2 x term
+@example((x - Fraction(1, 3) * y, x - Fraction(1, 3) * y))  # the difference is zero
+def test_sum_and_difference_match_sympy(pair):
+    a, b = pair
+    names = TARGET[: a.arity]
+    sa, sb = to_sympy(a, names), to_sympy(b, names)
+    assert_matches(a + b, sa + sb, names)
+    assert_matches(a - b, sa - sb, names)
+    assert_matches(-a, -sa, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arities.flatmap(polys), scalars)
+@example(Fraction(2, 3) * x + Fraction(4, 9) * y, Fraction(3, 2))  # 3/2 cancels the 2
+@example(Fraction(1, 6) * X * Y - Fraction(5, 6) * Z, 6)  # the denominator goes
+@example(2 * x + 4 * y, Fraction(1, 2))
+def test_scalar_product_matches_sympy(a, k):
+    names = TARGET[: a.arity]
+    expected = to_sympy(a, names) * to_sympy(k, names)
+    assert_matches(a * k, expected, names)
+    assert_matches(k * a, expected, names)
+
+
+@st.composite
+def relabellings(draw):
+    """A polynomial and an exponent map e -> sum_k e[k] * images[k] into
+    the target arity; it is substitution of the monomial x^images[k]
+    for the k-th variable, so terms may merge and cancel."""
+    source, target = draw(arities), draw(arities)
+    f = draw(polys(source))
+    vector = st.tuples(*[st.integers(min_value=0, max_value=2)] * target)
+    images = tuple(draw(vector) for _ in range(source))
+    return f, target, images
+
+
+def _relabel(images, target):
+    return lambda e: tuple(
+        sum(ek * img[t] for ek, img in zip(e, images)) for t in range(target)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabellings())
+@example((x - y, 2, ((1, 0), (1, 0))))  # x - x: cancels to zero
+@example((Fraction(1, 2) * x + Fraction(1, 2) * y, 2, ((0, 1), (0, 1))))  # 1/2 y + 1/2 y = y
+@example((Fraction(1, 6) * X + Fraction(1, 3) * Y - Z, 2, ((1, 1), (1, 1), (0, 0))))
+def test_map_exponents_matches_sympy(case):
+    f, target, images = case
+    names = TARGET[:target]
+    monomials = [sympy.Mul(*[n**e for n, e in zip(names, img)]) for img in images]
+    expr = to_sympy(f, SOURCE[: f.arity]).xreplace(dict(zip(SOURCE, monomials)))
+    got = f.map_exponents(target, _relabel(images, target))
+    assert got.arity == target
+    assert_matches(got, expr, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_pairs())
+@example((Fraction(1, 2) * x + Fraction(1, 2) * y + Fraction(1, 3), 2 * x - 2 * y))
+def test_coefficients_match_sympy(pair):
+    a, b = pair
+    names = TARGET[: a.arity]
+    zero = (0,) * a.arity
+    for p, expr in ((a, to_sympy(a, names)), (a * b, to_sympy(a, names) * to_sympy(b, names))):
+        expected = from_sympy(expr, names)
+        for exps in set(expected) | {zero, (1,) * a.arity}:
+            got = p.coeff(exps)
+            assert got == expected.get(exps, 0)
+            assert type(got) is int or got.denominator != 1
+        assert p.constant_term() == expected.get(zero, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(arities.flatmap(lambda n: polys(n, max_exp=2, max_terms=3)), st.integers(0, 4))
 # several denominators: the power clears their lcm once and divides by its
@@ -125,6 +207,7 @@ def test_power_matches_sympy(a, n):
 @example((Fraction(1, 2) * x + Fraction(1, 3) * y, (Fraction(2, 3) * y, -y)))
 # scalar images only: the result keeps the source arity
 @example((X * Y * Z + 3, (0, Fraction(5, 2), -1)))
+@example((Polynomial.zero(3), (Fraction(1, 2) * x, y, 1)))  # zero stays zero
 def test_substitute_matches_sympy(case):
     f, images = case
     polys_in = [img for img in images if isinstance(img, Polynomial)]
