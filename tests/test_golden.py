@@ -94,7 +94,7 @@ ENTRY_POINTS = (
 
 
 def _space_lines(tag, weights, maps, invert=False):
-    # inverses of the mixed-weight maps are too large to compose quickly
+    # one inverse of criterion 6 is too large to compose with its map
     entry_points = ENTRY_POINTS + ((("invert", invert_graded),) if invert else ())
     lines = []
     for k, m in enumerate(maps):
@@ -226,8 +226,8 @@ def _corpus_8():
             (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
         )
 
-    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1)) + (
-        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3))
+    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1), True) + (
+        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3), True)
     )
 
 
