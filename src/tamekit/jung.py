@@ -103,7 +103,7 @@ def _descend(m, trace):
     """The factors of m and one note each, found by polygon descent."""
     if constant_jacobian(m) is None:
         raise NotAnAutomorphism(
-            f"{m} does not have a nonzero constant Jacobian determinant"
+            "the map does not have a nonzero constant Jacobian determinant"
         )
     current = m
     suffix = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ArityMismatch, EmptySequence, InvariantViolation, WrongShape
 from .poly import Polynomial, _coerce
@@ -77,7 +78,9 @@ class PolynomialMap:
 # ---------------------------------------------------------------------------
 # constructors
 
+@lru_cache(maxsize=None, typed=True)
 def identity_map(arity):
+    # one shared map per arity: maps are never changed in place
     return PolynomialMap(Polynomial.variables(arity))
 
 
@@ -423,14 +426,22 @@ class FactorChain:
         return tuple(classify_map(f) for f in self.factors)
 
     def inverse(self):
-        """The inverse of the target, from the factors inverted in reverse
-        order; checked both ways, else InvariantViolation."""
+        """The inverse of the target: the factors inverted, in reverse order.
+
+        The target is g1∘…∘gn exactly (checked at construction), and each
+        hi = invert_factor(gi) is checked to be a two-sided inverse of gi,
+        else InvariantViolation.  So hn∘…∘h1 is the inverse of the
+        target, and the target itself is never composed.
+        """
         if not self.factors:
             return identity_map(self.target.arity)
-        inverse = compose_chain([invert_factor(f) for f in reversed(self.factors)])
-        if not verify_inverse_pair(self.target, inverse):
-            raise InvariantViolation(f"inverted factors fail to invert {self.target}")
-        return inverse
+        inverses = []
+        for f in reversed(self.factors):
+            h = invert_factor(f)
+            if not verify_inverse_pair(f, h):
+                raise InvariantViolation(f"inverted factor fails to invert {f}")
+            inverses.append(h)
+        return compose_chain(inverses)
 
     def __repr__(self):
         inner = ", ".join(f.render() for f in self.factors)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 from .errors import ArityMismatch, ConstantPolynomial, ZeroPolynomial
 
@@ -102,6 +103,30 @@ def _int_product(arity, t1, t2):
     return {e: c for e, c in _convolve(arity, t1, t2, {}).items() if c}
 
 
+def _short_power(num, e):
+    """``num`` to the e-th power, for an int term dict of one or two terms.
+
+    c*X^a gives c^e*X^(e*a), and c*X^a + d*X^b gives the e + 1 terms
+    C(e, k)*c^k*d^(e-k)*X^(k*a + (e-k)*b) by the binomial theorem.
+    These never collide, because a != b, and none is zero.
+    """
+    if len(num) == 1:
+        ((a, c),) = num.items()
+        return {tuple(e * i for i in a): c**e}
+    (a, c), (b, d) = num.items()
+    cpow, dpow = [1], [1]
+    for _ in range(e):
+        cpow.append(cpow[-1] * c)
+        dpow.append(dpow[-1] * d)
+    coeffs = [comb(e, k) * cpow[k] * dpow[e - k] for k in range(e + 1)]
+    # exponent column of each variable: e*j, e*j + (i - j), ..., e*i
+    cols = [
+        range(e * j, e * i + (1 if i > j else -1), i - j) if i != j else (e * i,) * (e + 1)
+        for i, j in zip(a, b)
+    ]
+    return dict(zip(zip(*cols), coeffs))
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over Q."""
 
@@ -177,7 +202,9 @@ class Polynomial:
         return cls._raw(arity, {exps: 1})
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def variables(cls, arity):
+        # one shared tuple per arity: polynomials are never changed in place
         return tuple(cls.variable(arity, i) for i in range(arity))
 
     @classmethod
@@ -294,6 +321,10 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative int, got {exponent!r}")
         base = self._num
+        if 1 <= len(base) <= 2:
+            return Polynomial._raw(
+                self.arity, _short_power(base, exponent), self._den**exponent
+            )
         result = {(0,) * self.arity: 1}
         e = exponent
         while e:
@@ -341,7 +372,9 @@ class Polynomial:
         The work stays on plain integers.  Each image is P_k / d_k with
         P_k its numerators, each numerator of self is scaled by the
         powers of the d_k its term lacks, and the sum is divided by the
-        one common denominator at the end.  Terms are grouped by all but
+        one common denominator at the end.  Powers of P_k are cached;
+        those of a one- or two-term P_k are written down by the binomial
+        theorem, with no product at all.  Terms are grouped by all but
         the last exponent: within a group the cached powers of the last
         image are added linearly, and the group is then multiplied by
         one cached power per earlier variable, so each group costs at
@@ -366,8 +399,9 @@ class Polynomial:
             for img in images
         ]
         one = {(0,) * target: 1}
-        # powers[k][e] is P_k ** e on ints, filled on demand by halving e,
-        # so a high power costs O(log e) products and cache entries
+        # powers[k][e] is P_k ** e on ints, filled on demand: in closed
+        # form when P_k has one or two terms, else by halving e, so a high
+        # power costs O(log e) products and cache entries
         powers = [{0: one, 1: img._num} for img in lifted]
         den = self._den
         # (k, d_k, highest power of d_k any term needs) for each image
@@ -384,8 +418,12 @@ class Polynomial:
             cache = powers[k]
             got = cache.get(e)
             if got is None:
-                half = e // 2
-                got = cache[e] = _int_product(target, power(k, half), power(k, e - half))
+                base = cache[1]
+                if 1 <= len(base) <= 2:
+                    got = cache[e] = _short_power(base, e)
+                else:
+                    half = e // 2
+                    got = cache[e] = _int_product(target, power(k, half), power(k, e - half))
             return got
 
         last = self.arity - 1

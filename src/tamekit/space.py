@@ -538,7 +538,9 @@ def _conjugated_shear(qh, lh, sign):
     second = {(0, 1): 1}
     for j in range(lh + 1):
         second[(j, qh * (lh - j))] = sign * comb(lh, j)
-    return PolynomialMap((Polynomial(2, first), Polynomial(2, second)))
+    # the exponents are distinct and every coefficient is a nonzero int
+    # (see wild_witness), so the validating constructor is not needed
+    return PolynomialMap((Polynomial._raw(2, first), Polynomial._raw(2, second)))
 
 
 def wild_witness(weights):
@@ -881,7 +883,7 @@ def decompose_zero_cases(m, weights):
     mm = cls.normalized.to_normalized(m)
     if constant_jacobian(mm) is None:
         raise NotAnAutomorphism(
-            f"{m} does not have a nonzero constant Jacobian determinant"
+            "the map does not have a nonzero constant Jacobian determinant"
         )
     factors = _ZERO_CASES[cls.zero_shape](mm)
     return _graded_chain(m, factors, cls.weights, cls.normalized)

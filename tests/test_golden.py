@@ -93,9 +93,8 @@ ENTRY_POINTS = (
 )
 
 
-def _space_lines(tag, weights, maps, invert=False):
-    # one inverse of criterion 6 is too large to compose with its map
-    entry_points = ENTRY_POINTS + ((("invert", invert_graded),) if invert else ())
+def _space_lines(tag, weights, maps):
+    entry_points = ENTRY_POINTS + (("invert", invert_graded),)
     lines = []
     for k, m in enumerate(maps):
         cases = [("", m)]
@@ -186,7 +185,7 @@ def _corpus_7():
         compose_chain([euclid_factor() for _ in range(rng.randrange(1, 6))])
         for _ in range(100)
     ]
-    return _space_lines("euclid", (1, 1, 0), maps, invert=True)
+    return _space_lines("euclid", (1, 1, 0), maps)
 
 
 def _pipeline_maps(seed, factor_fn):
@@ -226,8 +225,8 @@ def _corpus_8():
             (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
         )
 
-    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1), True) + (
-        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3), True)
+    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1)) + (
+        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3))
     )
 
 
@@ -260,8 +259,8 @@ def _corpus_9():
             return PolynomialMap((x, y, z + c * x * y))
         return PolynomialMap((x, y, z + c * x**3))
 
-    return _space_lines("pos112", (1, 1, 2), _pipeline_maps(912, factor_1_1_2), True) + (
-        _space_lines("pos123", (1, 2, 3), _pipeline_maps(923, factor_1_2_3), True)
+    return _space_lines("pos112", (1, 1, 2), _pipeline_maps(912, factor_1_1_2)) + (
+        _space_lines("pos123", (1, 2, 3), _pipeline_maps(923, factor_1_2_3))
     )
 
 

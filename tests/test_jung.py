@@ -29,6 +29,7 @@ from tamekit.maps import (
     verify_inverse_pair,
 )
 from tamekit.poly import Polynomial
+from tamekit.space import decompose_zero_cases
 
 x, y = Polynomial.variables(2)
 
@@ -227,3 +228,15 @@ def test_origin_descent_factors_preserve_origin(pieces):
     m = PolynomialMap(c - c.constant_term() for c in moved.coords)
     chain = decompose_plane_origin(m)
     assert all(f.is_origin_preserving() for f in chain.factors)
+
+
+def test_jacobian_rejections_do_not_render_the_map(monkeypatch):
+    # the caller holds the map already; rendering it for the message is waste
+    def no_render(self, names=None):
+        raise RuntimeError("rendered")
+
+    X, Y, Z = Polynomial.variables(3)
+    monkeypatch.setattr(Polynomial, "render", no_render)
+    assert not is_plane_automorphism(PolynomialMap((x + y**2, y + x**2)))
+    with pytest.raises(NotAnAutomorphism):
+        decompose_zero_cases(PolynomialMap((X + Y, X + Y, Z)), (1, 1, 0))

@@ -199,6 +199,59 @@ def test_power_matches_sympy(a, n):
     assert_matches(a**n, to_sympy(a, names) ** n, names)
 
 
+def short_polys(arity, max_exp=4):
+    # one or two terms: the bases whose powers are written in closed form
+    exps = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * arity)
+    nonzero = coeffs.filter(lambda c: c != 0)
+    return st.dictionaries(exps, nonzero, min_size=1, max_size=2).map(
+        lambda d: Polynomial(arity, d)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(arities.flatmap(short_polys), st.integers(0, 12))
+@example(x + 3, 12)  # one term constant
+@example(Fraction(-2, 3) * Y**2 * Z - Fraction(5, 4), 7)
+@example(-x * y**3, 5)
+@example(Fraction(3, 2) * X * Z**2, 0)
+@example(x - y, 1)
+def test_short_power_matches_sympy(a, n):
+    names = TARGET[: a.arity]
+    assert_matches(a**n, to_sympy(a, names) ** n, names)
+
+
+@st.composite
+def short_substitutions(draw):
+    source, target = draw(arities), draw(arities)
+    f = draw(polys(source, max_exp=6))
+    images = tuple(draw(st.one_of(scalars, short_polys(target))) for _ in range(source))
+    return f, images
+
+
+def _check_substitute(f, images):
+    polys_in = [img for img in images if isinstance(img, Polynomial)]
+    target = polys_in[0].arity if polys_in else f.arity
+    names = TARGET[:target]
+    expr = to_sympy(f, SOURCE[: f.arity]).xreplace(
+        {s: to_sympy(img, names) for s, img in zip(SOURCE, images)}
+    )
+    got = f.substitute(images)
+    assert got.arity == target
+    assert_matches(got, expr, names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(short_substitutions())
+# a zero image, as a polynomial and as the scalar 0
+@example((X**3 * Y**2 + Fraction(1, 2) * Z**4 + X, (Polynomial.zero(2), x - Fraction(2, 3) * y**2, 5)))
+@example((x**5 * y + Fraction(1, 3) * y**2, (0, Fraction(-1, 2) * X**2 * Z)))
+# a shear image and a monomial image, as in the wild witnesses
+@example((x**6 * y**2 - 4 * x * y**7, (x + y**3, -2 * y)))
+@example((X**4 * Y * Z**2 - Y**3, (Fraction(1, 2) * x**2 - 3, y - Fraction(2, 5) * x, y**2)))
+def test_substitute_short_images_matches_sympy(case):
+    _check_substitute(*case)
+
+
 @settings(max_examples=80, deadline=None)
 @given(substitutions())
 # images of another arity: three variables into two
@@ -209,16 +262,7 @@ def test_power_matches_sympy(a, n):
 @example((X * Y * Z + 3, (0, Fraction(5, 2), -1)))
 @example((Polynomial.zero(3), (Fraction(1, 2) * x, y, 1)))  # zero stays zero
 def test_substitute_matches_sympy(case):
-    f, images = case
-    polys_in = [img for img in images if isinstance(img, Polynomial)]
-    target = polys_in[0].arity if polys_in else f.arity
-    names = TARGET[:target]
-    expr = to_sympy(f, SOURCE[: f.arity]).xreplace(
-        {s: to_sympy(img, names) for s, img in zip(SOURCE, images)}
-    )
-    got = f.substitute(images)
-    assert got.arity == target
-    assert_matches(got, expr, names)
+    _check_substitute(*case)
 
 
 @settings(max_examples=60, deadline=None)
