@@ -61,6 +61,19 @@ CASES = [
     ("positive and ungraded", decompose_graded, (UNGRADED, (1, 2, 3)), NotGraded),
     ("wild and ungraded", decompose_graded, (UNGRADED, (7, 2, -3)), NotGraded),
     ("jacobian and scalar z", decompose_graded, (SINGULAR_Z, (1, 0, -1)), NotAnAutomorphism),
+    # the gcd readers check z before the frozen coordinate
+    (
+        "gcd: scalar z and frozen y",
+        decompose_graded,
+        (PolynomialMap((x, y + x * y * z, z + x * z**2)), (2, 1, -2)),
+        ThirdCoordinateNotScalar,
+    ),
+    (
+        "symmetric gcd: scalar z and frozen x",
+        decompose_graded,
+        (PolynomialMap((x + x * y * z, y, z + y * z**2)), (3, 2, -2)),
+        ThirdCoordinateNotScalar,
+    ),
     # decompose_positive: weight count, then sign, then gradedness
     ("count and mixed", decompose_positive, (PLANE, (1, 2, -3)), ArityMismatch),
     ("mixed and ungraded", decompose_positive, (UNGRADED, (1, 2, -3)), WrongShape),
@@ -78,6 +91,12 @@ CASES = [
     ("all zero and shape", decompose_zero_cases, (SINGULAR_Z, (0, 0, 0)), WrongShape),
     ("ungraded and singular", decompose_zero_cases, (PolynomialMap((x + 1, x, z)), (1, 1, 0)), NotGraded),
     ("jacobian and scalar z", decompose_zero_cases, (SINGULAR_Z, (1, 0, -1)), NotAnAutomorphism),
+    (
+        "jacobian and scalar x and z",
+        decompose_zero_cases,
+        (PolynomialMap((x + x**3 * z**3, y, x**2 * z**4 - z)), (3, 0, -2)),
+        NotAnAutomorphism,
+    ),
     # decompose_qhat_low: the weights (shape, gcd, q_hat), then the map
     ("positive and arity", decompose_qhat_low, (PLANE, (1, 2, 3)), WrongShape),
     ("zero and arity", decompose_qhat_low, (PLANE, (1, 0, -1)), WrongShape),

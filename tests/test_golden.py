@@ -188,11 +188,11 @@ def _corpus_7():
     return _space_lines("euclid", (1, 1, 0), maps)
 
 
-def _pipeline_maps(seed, factor_fn):
+def _pipeline_maps(seed, factor_fn, count=100):
     rng = random.Random(seed)
     return [
         compose_chain([factor_fn(rng) for _ in range(rng.randrange(1, 6))])
-        for _ in range(100)
+        for _ in range(count)
     ]
 
 
@@ -264,6 +264,108 @@ def _corpus_9():
     )
 
 
+def _scaling(rng):
+    return PolynomialMap(
+        (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
+    )
+
+
+def _corpus_shapes():
+    """Random factor chains in the five shapes with an explicit
+    decomposition that criteria 6-9 leave out, then graded maps that are
+    no automorphisms, one for each way the shape readers can reject."""
+
+    def zpoly(rng):
+        return sum(
+            (rng.randrange(-2, 3) * z**k for k in range(rng.randrange(1, 4))),
+            Polynomial.zero(3),
+        )
+
+    def factor_2_1_0(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return _scaling(rng)
+        if kind == 1:
+            return PolynomialMap((x + zpoly(rng) * y**2, y, z))
+        if kind == 2:
+            return PolynomialMap((x, y, rng.choice(NONZERO) * z + rng.randrange(-2, 3)))
+        return PolynomialMap((x + rng.choice(NONZERO) * y**2, y, z))
+
+    def factor_3_0_2(rng):
+        kind = rng.randrange(3)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return _scaling(rng)
+        if kind == 1:
+            return PolynomialMap((x, y + c * x**2 * z**3 + rng.randrange(-2, 3), z))
+        return PolynomialMap((x, y + c * x**4 * z**6, z))
+
+    def factor_1_0_0(rng):
+        kind = rng.randrange(4)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return PolynomialMap((rng.choice(NONZERO) * x, y, z))
+        if kind == 1:
+            return PolynomialMap((x, y + c * z ** rng.randrange(0, 3), z))
+        if kind == 2:
+            return PolynomialMap((x, y, z + c * y ** rng.randrange(0, 3)))
+        return PolynomialMap((x, z, y))
+
+    def factor_2_1_2(rng):
+        kind = rng.randrange(3)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return _scaling(rng)
+        if kind == 1:
+            return PolynomialMap((x + c * y**2, y, z))
+        return PolynomialMap((x + c * y**4 * z, y, z))
+
+    def factor_3_2_2(rng):
+        kind = rng.randrange(3)
+        c = rng.choice(NONZERO)
+        if kind == 0:
+            return _scaling(rng)
+        if kind == 1:
+            return PolynomialMap((x, y + c * x**2 * z**2, z))
+        return PolynomialMap((x, y + c * x**4 * z**5, z))
+
+    shapes = (
+        ("zero210", (2, 1, 0), 1021, factor_2_1_0, (
+            PolynomialMap((x * z, y, z)),
+            PolynomialMap((x, y, z**2 + z)),
+            PolynomialMap((x + y**2, y * z + y, z)),
+        )),
+        ("zero302", (3, 0, -2), 1302, factor_3_0_2, (
+            PolynomialMap((x + x**3 * z**3, y, -z)),
+            PolynomialMap((x + x**3 * z**3, y, x**2 * z**4 - z)),
+            PolynomialMap((x, y, z + x**2 * z**4)),
+            PolynomialMap((x, y**2 + x**2 * z**3, z)),
+        )),
+        ("zero100", (1, 0, 0), 1100, factor_1_0_0, (
+            PolynomialMap((x * y + x, y, z)),
+            PolynomialMap((x, y**2, z)),
+            PolynomialMap((x, y + z**2, y**2 + z)),
+        )),
+        ("gcd212", (2, 1, -2), 1212, factor_2_1_2, (
+            PolynomialMap((x, y + x * y * z, z + x * z**2)),
+            PolynomialMap((x, y + x * y * z, z)),
+            PolynomialMap((x + x**2 * z, y, z)),
+            PolynomialMap((y**2, y, z)),
+        )),
+        ("gcd322", (3, 2, -2), 1322, factor_3_2_2, (
+            PolynomialMap((x + x * y * z, y, z + y * z**2)),
+            PolynomialMap((x + x * y * z, y, z)),
+            PolynomialMap((x, y + y**2 * z, z)),
+            PolynomialMap((x, x**2 * z**2, z)),
+        )),
+    )
+    lines = []
+    for tag, weights, seed, factor_fn, rejected in shapes:
+        maps = _pipeline_maps(seed, factor_fn, count=40) + list(rejected)
+        lines.extend(_space_lines(tag, weights, maps))
+    return lines
+
+
 def _witness_lines():
     lines = []
     for weights in ((7, 2, -3), (2, -3, 7), (11, 3, -5), (0, 0, 0)):
@@ -278,7 +380,14 @@ def _witness_lines():
 
 
 def render_golden():
-    lines = _corpus_6() + _corpus_7() + _corpus_8() + _corpus_9() + _witness_lines()
+    lines = (
+        _corpus_6()
+        + _corpus_7()
+        + _corpus_8()
+        + _corpus_9()
+        + _corpus_shapes()
+        + _witness_lines()
+    )
     return "\n".join(lines) + "\n"
 
 
