@@ -223,16 +223,18 @@ class NormalizedGrading:
     def grading(self):
         return Grading(self.weights)
 
+    def _key(self):
+        return (
+            self.original, self.weights, self.permutation, self.flipped, self.divisor
+        )
+
     def __eq__(self, other):
         if not isinstance(other, NormalizedGrading):
             return NotImplemented
-        return (
-            self.original == other.original
-            and self.weights == other.weights
-            and self.permutation == other.permutation
-            and self.flipped == other.flipped
-            and self.divisor == other.divisor
-        )
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return (

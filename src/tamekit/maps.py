@@ -132,22 +132,24 @@ def jacobian_matrix(m):
     return [[m.coords[i].partial(j) for j in range(n)] for i in range(n)]
 
 
-def _poly_det(rows):
+def _det(rows):
+    """Cofactor expansion along the first row; the entries may be scalars
+    or polynomials of one arity."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero(rows[0][0].arity)
+    total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
+        term = rows[0][j] * _det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
 
 def jacobian_det(m):
-    return _poly_det(jacobian_matrix(m))
+    return _det(jacobian_matrix(m))
 
 
 def constant_jacobian(m):
@@ -166,17 +168,7 @@ def constant_jacobian(m):
 # scalar matrices (used for linear blocks and base cases)
 
 def matrix_det(rows):
-    n = len(rows)
-    if n == 1:
-        return _coerce(rows[0][0])
-    if n == 2:
-        return _coerce(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * matrix_det(minor)
-        total += term if j % 2 == 0 else -term
-    return _coerce(total)
+    return _coerce(_det(rows))
 
 
 def matrix_inverse(rows):
@@ -192,7 +184,7 @@ def matrix_inverse(rows):
             minor = [
                 r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j
             ]
-            cof = matrix_det(minor) if n > 1 else 1
+            cof = _det(minor) if n > 1 else 1
             if (i + j) % 2:
                 cof = -cof
             row.append(_coerce(Fraction(cof) / Fraction(det)))

@@ -263,9 +263,13 @@ def _check_graded(m, cls):
 
 
 def _graded_chain(m, factors, weights, norm=None):
-    """The FactorChain of m, after moving the factors back to the original
-    variables with norm when they were found in normalized ones.  This
-    is the final check of every graded decomposition."""
+    """The FactorChain of m, after dropping the identity factors and
+    moving the others back to the original variables with norm when they
+    were found in normalized ones.  This is the final check of every
+    graded decomposition, and the one place identities are dropped: the
+    builders below emit every factor of their shape, trivial or not."""
+    ident = identity_map(m.arity)
+    factors = [f for f in factors if f != ident]
     if norm is not None:
         factors = [norm.to_original(f) for f in factors]
     chain = FactorChain._derived(m, factors)
@@ -664,16 +668,12 @@ def decompose_positive(m, weights):
             for col, j in enumerate(idxs):
                 acc = acc + block[r][col] * xs[j]
             lin_coords[i] = acc
-        lin = PolynomialMap(lin_coords)
-        if lin != identity_map(n):
-            factors.append(lin)
+        factors.append(PolynomialMap(lin_coords))
         inv = matrix_inverse(block)
         for r, i in enumerate(idxs):
             acc = Polynomial.zero(n)
             for col in range(len(idxs)):
                 acc = acc + inv[r][col] * tails[col]
-            if acc.is_zero():
-                continue
             coords = list(xs)
             coords[i] = xs[i] + acc
             factors.append(PolynomialMap(coords))
@@ -683,47 +683,26 @@ def decompose_positive(m, weights):
 # ---------------------------------------------------------------------------
 # weights with a zero entry: four shape cases
 
-def _linear_in_z(coord):
-    """(kappa, mu) when coord = kappa*z + mu with kappa nonzero."""
-    if not coord._num.keys() <= {(0, 0, 1), (0, 0, 0)}:
-        raise NotAnAutomorphism(
-            f"third coordinate {coord} must be linear in z for these weights"
-        )
-    kappa = coord.coeff((0, 0, 1))
-    if kappa == 0:
-        raise NotAnAutomorphism("third coordinate lost z entirely")
-    return kappa, coord.constant_term()
-
-
 def _zero_distinct_pair(mm):
-    """Weights (a, b, 0) with a > b >= 1."""
-    kappa, mu = _linear_in_z(mm.coords[2])
-    lam2 = _scalar_coord(mm.coords[1], 1, 3)
-    if lam2 is None:
-        # a constant Jacobian already forces this; a violation means the
-        # Jacobian computation above let a non-automorphism through
-        raise NotAnAutomorphism(
-            f"second coordinate {mm.coords[1]} must be a scalar multiple of y"
-        )
-    f = mm.coords[0]
+    """Weights (a, b, 0) with a > b >= 1.
+
+    Gradedness leaves x*r(z) + y^(a/b)*s(z) (the second term only when b
+    divides a), y*q(z) and p(z).  The Jacobian matrix is triangular with
+    determinant r*q*p', so the constant Jacobian test of
+    decompose_zero_cases has already made r and q nonzero scalars and p
+    linear in z: the coefficients are read off directly.
+    """
+    f, g, h = mm.coords
     lam1 = f.coeff((1, 0, 0))
-    rest = f - lam1 * _X
-    if lam1 == 0 or rest.involves(0):
-        raise NotAnAutomorphism(
-            f"first coordinate {f} must be linear in x with x-free remainder"
-        )
-    factors = []
-    diag = PolynomialMap((lam1 * _X, lam2 * _Y, _Z))
-    if diag != identity_map(3):
-        factors.append(diag)
-    if not rest.is_zero():
-        # push the z line through the shear so the chain ends with it
-        addend = rest.substitute((_X, _Y, (_Z - mu) * _div(1, kappa)))
-        factors.append(PolynomialMap((_X + addend * _div(1, lam1), _Y, _Z)))
-    zline = PolynomialMap((_X, _Y, kappa * _Z + mu))
-    if zline != identity_map(3):
-        factors.append(zline)
-    return factors
+    kappa = h.coeff((0, 0, 1))
+    # push the z line through the shear so the chain ends with it
+    z_inverse = (_Z - h.constant_term()) * _div(1, kappa)
+    addend = (f - lam1 * _X).substitute((_X, _Y, z_inverse))
+    return [
+        PolynomialMap((lam1 * _X, g, _Z)),
+        PolynomialMap((_X + addend * _div(1, lam1), _Y, _Z)),
+        PolynomialMap((_X, _Y, h)),
+    ]
 
 
 def _zdivmod(num, den):
@@ -750,26 +729,20 @@ def _z_matrix_entry(coord, var_index):
 def _zero_equal_pair(mm):
     """Weights (1, 1, 0): a 2x2 matrix over K[z], reduced by Euclid.
 
-    The first column is cleared by row operations; each operation is an
-    elementary map over K[z] whose inverse joins the chain.  The gcd of
-    the column divides the constant determinant, so the loop ends with
-    a unit in the corner.
+    Gradedness leaves A*x + B*y, C*x + D*y and p(z) with A, B, C, D in
+    K[z], so the Jacobian determinant is (A*D - B*C)*p': the constant
+    Jacobian test of decompose_zero_cases has already made A*D - B*C a
+    nonzero scalar and p linear in z.  The first column is cleared by
+    row operations; each operation is an elementary map over K[z] whose
+    inverse joins the chain.  The gcd of the column divides the constant
+    determinant, so the loop ends with a unit in the corner.
     """
-    kappa, mu = _linear_in_z(mm.coords[2])
     # the NotGraded check puts exactly one of x, y in each monomial of A..D
     A = _z_matrix_entry(mm.coords[0], 0)
     B = _z_matrix_entry(mm.coords[0], 1)
     C = _z_matrix_entry(mm.coords[1], 0)
     D = _z_matrix_entry(mm.coords[1], 1)
-    det = A * D - B * C
-    if not det.is_constant() or det.is_zero():
-        raise NotAnAutomorphism(
-            f"the z-linear part of {mm} does not have a nonzero constant determinant"
-        )
-    factors = []
-    zline = PolynomialMap((_X, _Y, kappa * _Z + mu))
-    if zline != identity_map(3):
-        factors.append(zline)
+    factors = [PolynomialMap((_X, _Y, mm.coords[2]))]
     while not C.is_zero():
         if A.is_zero():
             # pull the second row up so the usual degree reduction applies
@@ -785,68 +758,74 @@ def _zero_equal_pair(mm):
             factors.append(PolynomialMap((_X + q * _Y, _Y, _Z)))
     # row operations keep det, so A*D = det is a nonzero constant: A, D are too
     lamA = A.constant_value()
-    lamD = D.constant_value()
-    diag = PolynomialMap((lamA * _X, lamD * _Y, _Z))
-    if diag != identity_map(3):
-        factors.append(diag)
-    if not B.is_zero():
-        factors.append(PolynomialMap((_X + B * _Y * _div(1, lamA), _Y, _Z)))
+    factors.append(PolynomialMap((lamA * _X, D.constant_value() * _Y, _Z)))
+    factors.append(PolynomialMap((_X + B * _Y * _div(1, lamA), _Y, _Z)))
     return factors
 
 
-def _zero_pos_neg(mm):
-    """Weights (a, 0, -c) with gcd(a, c) = 1.
+def _scalars_and_shear(mm, open_idx):
+    """Maps whose z coordinate and one of x, y only rescale: the open
+    coordinate (x at open_idx 0, y at 1) is a scaling plus a part free
+    of its variable, and the other one, the frozen coordinate, a scaling.
 
-    Weight homogeneity makes the first and third coordinates divisible
-    by x and z; irreducibility of coordinates then pins them to scalar
-    multiples, and a constant Jacobian pins the middle coordinate to
-    lam*y plus a y-free part.
+    This is the shape of three gradings.  For mixed weights (a, b, -c)
+    where gcd(a, c) does not divide b (open 0), every graded monomial of
+    the y and z coordinates is divisible by y and z, so these coordinates
+    are reducible unless they are scalings; a reducible polynomial is no
+    coordinate of an automorphism.  The constant Jacobian of an
+    automorphism then flattens the x coordinate to lam*x plus an x-free
+    part.  When gcd(b, c) does not divide a the roles of x and y swap
+    (open 1).  For (a, 0, -c) with gcd(a, c) = 1 (open 1) the x and z
+    coordinates are divisible by x and z.
+
+    The checks run z (ThirdCoordinateNotScalar), the frozen coordinate,
+    then the open one (NotAnAutomorphism).  For (a, 0, -c) the constant
+    Jacobian test of decompose_zero_cases runs first, so the order of the
+    x and z checks could only matter on a map that passes it with x and z
+    both not scalings.  That map would have a reducible coordinate, hence
+    be a non-automorphism with a nonzero constant Jacobian determinant:
+    a counterexample to the Jacobian conjecture.
     """
-    lam1 = _scalar_coord(mm.coords[0], 0, 3)
-    if lam1 is None:
-        raise NotAnAutomorphism(
-            f"first coordinate {mm.coords[0]} must be a scalar multiple of x"
-        )
     lam3 = _scalar_coord(mm.coords[2], 2, 3)
     if lam3 is None:
         raise ThirdCoordinateNotScalar(
             f"third coordinate {mm.coords[2]} must be a scalar multiple of z"
         )
-    gmid = mm.coords[1]
-    lam2 = gmid.coeff((0, 1, 0))
-    rest = gmid - lam2 * _Y
-    if lam2 == 0 or rest.involves(1):
+    frozen = 1 - open_idx
+    if _scalar_coord(mm.coords[frozen], frozen, 3) is None:
         raise NotAnAutomorphism(
-            f"middle coordinate {gmid} must be linear in y with y-free remainder"
+            f"coordinate {mm.coords[frozen]} must be a scalar multiple of "
+            f"its variable for these weights"
         )
-    factors = []
-    diag = PolynomialMap((lam1 * _X, lam2 * _Y, lam3 * _Z))
-    if diag != identity_map(3):
-        factors.append(diag)
-    if not rest.is_zero():
-        factors.append(PolynomialMap((_X, _Y + rest * _div(1, lam2), _Z)))
-    return factors
+    xs = Polynomial.variables(3)
+    coord = mm.coords[open_idx]
+    lam_open = coord.coeff(tuple(1 if k == open_idx else 0 for k in range(3)))
+    rest = coord - lam_open * xs[open_idx]
+    if lam_open == 0 or rest.involves(open_idx):
+        raise NotAnAutomorphism(
+            f"coordinate {coord} must be linear in its variable with a "
+            f"remainder free of it"
+        )
+    diag = list(mm.coords)
+    diag[open_idx] = lam_open * xs[open_idx]
+    shear = list(xs)
+    shear[open_idx] = xs[open_idx] + rest * _div(1, lam_open)
+    return [PolynomialMap(diag), PolynomialMap(shear)]
 
 
 def _zero_single(mm):
     """Weights (1, 0, 0): x rescales, and (y, z) is any plane automorphism.
 
-    No assert keeps x out of the last two coordinates: they have weight
-    zero, so the NotGraded check in decompose_zero_cases already does.
+    Gradedness leaves x*f(y, z) and two coordinates of weight zero, free
+    of x.  The Jacobian determinant is f times the plane Jacobian of the
+    last two, so the constant Jacobian test of decompose_zero_cases has
+    already made f a nonzero scalar.
     """
-    lam1 = _scalar_coord(mm.coords[0], 0, 3)
-    if lam1 is None:
-        raise NotAnAutomorphism(
-            f"first coordinate {mm.coords[0]} must be a scalar multiple of x"
-        )
     drop_x = lambda e: e[1:]
     embed = lambda e: (0, *e)
     pm = PolynomialMap((c.map_exponents(2, drop_x) for c in mm.coords[1:]))
-    chain = decompose_plane(pm)
-    factors = []
-    if lam1 != 1:
-        factors.append(PolynomialMap((lam1 * _X, _Y, _Z)))
-    for f in chain.factors:
+    factors = [PolynomialMap((mm.coords[0].coeff((1, 0, 0)) * _X, _Y, _Z))]
+    for f in decompose_plane(pm).factors:
         embedded = (c.map_exponents(3, embed) for c in f.coords)
         factors.append(PolynomialMap((_X, *embedded)))
     return factors
@@ -855,7 +834,7 @@ def _zero_single(mm):
 _ZERO_CASES = {
     ZeroWeightShape.DISTINCT_POSITIVE_PAIR: _zero_distinct_pair,
     ZeroWeightShape.EQUAL_POSITIVE_PAIR: _zero_equal_pair,
-    ZeroWeightShape.POSITIVE_AND_NEGATIVE: _zero_pos_neg,
+    ZeroWeightShape.POSITIVE_AND_NEGATIVE: lambda mm: _scalars_and_shear(mm, 1),
     ZeroWeightShape.SINGLE_POSITIVE: _zero_single,
 }
 
@@ -1036,12 +1015,7 @@ def _mixed_pipeline(cls, mm):
     pm = restrict_to_plane(zfixed)
     rg = plane_residue_grading(nw[0], nw[1], -nw[2])
     factors, _ = _descend(pm, None)
-    out = []
-    if scaling != identity_map(3):
-        out.append(scaling)
-    for f in _rewrite_walk(factors, rg):
-        out.append(_lift_or_fail(f, nw))
-    return out
+    return [scaling] + [_lift_or_fail(f, nw) for f in _rewrite_walk(factors, rg)]
 
 
 def decompose_qhat_low(m, weights):
@@ -1063,51 +1037,6 @@ def decompose_qhat_low(m, weights):
     return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
-def _mixed_gcd_obstructed(mm, mirror):
-    """Mixed weights failing a divisibility check: the map nearly freezes.
-
-    When gcd(a, c) does not divide b, every graded monomial of the
-    middle coordinate is divisible by y, so a coordinate must be lam*y
-    exactly; the constant Jacobian then flattens the first coordinate
-    to lam*x plus an x-free part.  ``mirror`` swaps the roles of the
-    first two coordinates.
-    """
-    lam3 = _scalar_coord(mm.coords[2], 2, 3)
-    if lam3 is None:
-        raise ThirdCoordinateNotScalar(
-            f"third coordinate {mm.coords[2]} must be a scalar multiple of z"
-        )
-    frozen, open_idx, open_var = (0, 1, _Y) if mirror else (1, 0, _X)
-    frozen_var = _X if mirror else _Y
-    lam_frozen = _scalar_coord(mm.coords[frozen], frozen, 3)
-    if lam_frozen is None:
-        raise NotAnAutomorphism(
-            f"coordinate {mm.coords[frozen]} must be a scalar multiple of "
-            f"its variable for these weights"
-        )
-    coord = mm.coords[open_idx]
-    unit = tuple(1 if k == open_idx else 0 for k in range(3))
-    lam_open = coord.coeff(unit)
-    rest = coord - lam_open * open_var
-    if lam_open == 0 or rest.involves(open_idx):
-        raise NotAnAutomorphism(
-            f"coordinate {coord} must be linear in its variable with a "
-            f"remainder free of it"
-        )
-    scales = [0, 0, lam3]
-    scales[frozen] = lam_frozen
-    scales[open_idx] = lam_open
-    factors = []
-    diag = PolynomialMap((scales[0] * _X, scales[1] * _Y, scales[2] * _Z))
-    if diag != identity_map(3):
-        factors.append(diag)
-    if not rest.is_zero():
-        coords = list(Polynomial.variables(3))
-        coords[open_idx] = coords[open_idx] + rest * _div(1, lam_open)
-        factors.append(PolynomialMap(coords))
-    return factors
-
-
 def _split_triangular(m):
     """Factor a triangular three-variable map into a diagonal, two shears
     and a translation of z."""
@@ -1119,32 +1048,26 @@ def _split_triangular(m):
     f2 = m.coords[1] - lam2 * _Y
     g2 = f2.substitute((_X, _Y, _Z - nu)) * _div(1, lam2)
     g1 = f1.substitute((_X, _Y - g2, _Z - nu)) * _div(1, lam1)
-    factors = []
-    diag = PolynomialMap((lam1 * _X, lam2 * _Y, lam3 * _Z))
-    if diag != identity_map(3):
-        factors.append(diag)
-    if not g1.is_zero():
-        factors.append(PolynomialMap((_X + g1, _Y, _Z)))
-    if not g2.is_zero():
-        factors.append(PolynomialMap((_X, _Y + g2, _Z)))
-    if nu != 0:
-        factors.append(PolynomialMap((_X, _Y, _Z + nu)))
-    return factors
+    return [
+        PolynomialMap((lam1 * _X, lam2 * _Y, lam3 * _Z)),
+        PolynomialMap((_X + g1, _Y, _Z)),
+        PolynomialMap((_X, _Y + g2, _Z)),
+        PolynomialMap((_X, _Y, _Z + nu)),
+    ]
 
 
 def _decompose_trivial(m):
-    """Zero weights: every map is graded, so only shaped cases decompose."""
+    """The factors of m for zero weights: every map is graded, so only
+    shaped cases decompose."""
     cls = classify_map(m)
-    if cls is MapClass.IDENTITY:
-        return FactorChain._derived(m, [])
     if cls in (MapClass.LINEAR, MapClass.AFFINE):
         if matrix_det(affine_parts(m)[0]) == 0:
             raise NotAnAutomorphism(f"{m} has a singular linear part")
-        return FactorChain._derived(m, [m])
-    if cls is MapClass.ELEMENTARY:
-        return FactorChain._derived(m, [m])
+        return [m]
+    if cls in (MapClass.IDENTITY, MapClass.ELEMENTARY):
+        return [m]
     if cls is MapClass.TRIANGULAR:
-        return FactorChain._derived(m, _split_triangular(m))
+        return _split_triangular(m)
     raise WildAdmittingUndecided(
         "the zero grading admits wild automorphisms; only linear, "
         "elementary and triangular shapes are decomposed directly"
@@ -1170,13 +1093,13 @@ def decompose_graded(m, weights):
     if reason is GradingReason.ZERO_WEIGHT:
         return decompose_zero_cases(m, cls)
     _check_graded(m, cls)
-    if reason is GradingReason.TRIVIAL_GRADING:
-        return _decompose_trivial(m)
     mm = cls.normalized.to_normalized(m)
-    if reason is GradingReason.GCD_OBSTRUCTION:
-        factors = _mixed_gcd_obstructed(mm, mirror=False)
+    if reason is GradingReason.TRIVIAL_GRADING:
+        factors = _decompose_trivial(mm)
+    elif reason is GradingReason.GCD_OBSTRUCTION:
+        factors = _scalars_and_shear(mm, 0)
     elif reason is GradingReason.SYMMETRIC_GCD_OBSTRUCTION:
-        factors = _mixed_gcd_obstructed(mm, mirror=True)
+        factors = _scalars_and_shear(mm, 1)
     elif reason is GradingReason.Q_HAT_AT_LEAST_TWO:
         cert = _degree_test(cls, mm)
         if cert.certified:

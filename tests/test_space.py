@@ -29,7 +29,7 @@ from tamekit.errors import (
     WildAdmittingUndecided,
     WrongShape,
 )
-from tamekit.grading import Grading, plane_residue_grading
+from tamekit.grading import Grading, normalize_weights, plane_residue_grading
 from tamekit.maps import (
     FactorChain,
     MapClass,
@@ -37,6 +37,7 @@ from tamekit.maps import (
     classify_map,
     compose,
     compose_chain,
+    constant_jacobian,
     identity_map,
     plane_swap,
     verify_inverse_pair,
@@ -125,6 +126,16 @@ def test_classification_zero_shapes():
     )
     assert classify_grading((0, 1, 0)).zero_shape is ZeroWeightShape.SINGLE_POSITIVE
     assert classify_grading((1, 2, 3)).zero_shape is None
+
+
+def test_classifications_and_witnesses_are_hashable():
+    # frozen dataclasses hash their fields, the normalized grading among them
+    cls = classify_grading((7, 2, -3))
+    assert hash(cls) == hash(classify_grading((7, 2, -3)))
+    assert len({cls, classify_grading((7, 2, -3)), classify_grading((2, 7, -3))}) == 2
+    assert hash(cls.normalized) == hash(normalize_weights((7, 2, -3)))
+    wit = wild_witness((7, 2, -3))
+    assert hash(wit) == hash(wild_witness((7, 2, -3)))
 
 
 def test_classification_arity():
@@ -660,6 +671,99 @@ def test_zero_cases_rejections():
         decompose_zero_cases(PolynomialMap((x + z, y, z)), (2, 1, 0))
     with pytest.raises(NotAnAutomorphism):
         decompose_zero_cases(PolynomialMap((2 * x, y, z**2)), (2, 1, 0))
+
+
+_SCALES = st.sampled_from([-2, -1, 1, 2, 3])
+_COEFFS = st.integers(-2, 2)
+
+
+def _poly_in(monomials):
+    # a random sum of the given monomials with small integer coefficients
+    return st.lists(_COEFFS, min_size=len(monomials), max_size=len(monomials)).map(
+        lambda cs: sum((c * mon for c, mon in zip(cs, monomials)), Polynomial.zero(3))
+    )
+
+
+_DIAGONAL = st.builds(
+    lambda a, b, c: PolynomialMap((a * x, b * y, c * z)), _SCALES, _SCALES, _SCALES
+)
+_ZPOLY = _poly_in([Polynomial.constant(3, 1), z, z**2])
+_YZPOLY = _poly_in([Polynomial.constant(3, 1), y, z, y**2, y * z, z**2])
+
+
+def _chains(factor):
+    return st.lists(factor, min_size=1, max_size=4).map(compose_chain)
+
+
+# graded maps in the shapes of (2, 1, 0), (1, 1, 0) and (1, 0, 0): first
+# with small random entries, then composed from factors of the shape
+_GRADED_ZERO_MAPS = st.one_of(
+    st.tuples(
+        st.just((2, 1, 0)),
+        st.one_of(
+            st.builds(
+                lambda r, s, q, p: PolynomialMap((r * x + s * y**2, q * y, p)),
+                _ZPOLY, _ZPOLY, _ZPOLY, _ZPOLY,
+            ),
+            _chains(
+                st.one_of(
+                    _DIAGONAL,
+                    st.builds(lambda s: PolynomialMap((x + s * y**2, y, z)), _ZPOLY),
+                    st.builds(lambda c: PolynomialMap((x, y, z + c)), _COEFFS),
+                )
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just((1, 1, 0)),
+        st.one_of(
+            st.builds(
+                lambda a, b, c, d, p: PolynomialMap((a * x + b * y, c * x + d * y, p)),
+                _ZPOLY, _ZPOLY, _ZPOLY, _ZPOLY, _ZPOLY,
+            ),
+            _chains(
+                st.one_of(
+                    _DIAGONAL,
+                    st.builds(lambda q: PolynomialMap((x + q * y, y, z)), _ZPOLY),
+                    st.builds(lambda q: PolynomialMap((x, y + q * x, z)), _ZPOLY),
+                    st.builds(lambda c: PolynomialMap((x, y, z + c)), _COEFFS),
+                )
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just((1, 0, 0)),
+        st.one_of(
+            st.builds(
+                lambda f, g, h: PolynomialMap((f * x, g, h)),
+                _poly_in([Polynomial.constant(3, 1), y, z]), _YZPOLY, _YZPOLY,
+            ),
+            _chains(
+                st.one_of(
+                    st.builds(lambda a: PolynomialMap((a * x, y, z)), _SCALES),
+                    st.builds(lambda q: PolynomialMap((x, y + q, z)), _ZPOLY),
+                    st.builds(lambda q: PolynomialMap((x, z, y + q)), _ZPOLY),
+                )
+            ),
+        ),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_GRADED_ZERO_MAPS)
+def test_zero_cases_reject_exactly_without_constant_jacobian(case):
+    # the shape readers of (2, 1, 0), (1, 1, 0) and (1, 0, 0) read the
+    # coefficients without checks of their own: a constant Jacobian
+    # determinant is all they need
+    weights, m = case
+    if constant_jacobian(m) is None:
+        with pytest.raises(NotAnAutomorphism):
+            decompose_zero_cases(m, weights)
+    else:
+        chain = decompose_zero_cases(m, weights)
+        g = Grading(weights)
+        assert all(g.is_graded_map(f) for f in chain.factors)
 
 
 # ---------------------------------------------------------------------------
