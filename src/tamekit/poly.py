@@ -43,6 +43,11 @@ def _coerce(value):
     )
 
 
+def _div(num, den):
+    # the exact quotient num / den of two scalars, in boundary form
+    return _coerce(Fraction(num) / Fraction(den))
+
+
 def _scalar(num, den):
     # the coefficient num / den as an int or a reduced Fraction
     return num if den == 1 else _coerce(Fraction(num, den))
@@ -259,6 +264,19 @@ class Polynomial:
 
     def involves(self, index):
         return any(exps[index] for exps in self._num)
+
+    def split_variable(self, index):
+        """(scale, rest) with self == scale * x_index + rest: scale is the
+        coefficient of x_index itself, rest every other term.  Both are
+        read off the numerators; nothing is multiplied or subtracted."""
+        if not 0 <= index < self.arity:
+            raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
+        unit = tuple(1 if k == index else 0 for k in range(self.arity))
+        if unit not in self._num:
+            return 0, self
+        num = dict(self._num)
+        scale = num.pop(unit)
+        return _scalar(scale, self._den), Polynomial._raw(self.arity, num, self._den)
 
     # ------------------------------------------------------------------
     # ring operations

@@ -1,5 +1,6 @@
 """Map layer: composition, Jacobians, taxonomy, factor chains."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from tamekit.maps import (
     constant_jacobian,
     elementary_detail,
     identity_map,
+    invert_factor,
+    is_triangular,
     jacobian_det,
     map_from_matrix,
     matrix_det,
@@ -190,3 +193,98 @@ def test_jacobian_chain_rule(f, g):
     lhs = jacobian_det(compose(f, g))
     rhs = jacobian_det(f).substitute(g.coords) * jacobian_det(g)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# seeded shape corpus: triangular and elementary maps, and near misses
+
+SCALES = [-3, -2, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def _random_poly(rng, arity, allowed):
+    """A polynomial in the variables ``allowed`` only: one term of degree
+    2 or 3, up to two more terms and sometimes a constant.  With no
+    variable allowed it is a constant, possibly zero."""
+    if not allowed:
+        return Polynomial.constant(arity, rng.choice(SCALES + [0]))
+
+    def monomial(low):
+        exps = [0] * arity
+        for _ in range(rng.randint(low, 3)):
+            exps[rng.choice(allowed)] += 1
+        return tuple(exps)
+
+    terms = {monomial(2): rng.choice(SCALES)}
+    for _ in range(rng.randint(0, 2)):
+        terms[monomial(1)] = rng.choice(SCALES)
+    if rng.random() < 0.5:
+        terms[(0,) * arity] = rng.choice(SCALES)
+    return Polynomial(arity, terms)
+
+
+def _shape_corpus(seed=4021, per_arity=12):
+    """(kind, coordinates, expected class, (index, scale, addend) or None).
+
+    Each expected answer comes from how the map is built.  No scale is 1,
+    so every coordinate of a triangular map differs from its variable and
+    the map is not elementary; the degree-2 term keeps both shapes from
+    being affine.  The near misses break one condition each: x_i times
+    another variable or x_i^2 in the rest, a zero scale, or a rest in an
+    earlier variable."""
+    rng = random.Random(seed)
+    cases = []
+    for arity in (2, 3):
+        xs = Polynomial.variables(arity)
+        for _ in range(per_arity):
+            rests = [_random_poly(rng, arity, range(i + 1, arity)) for i in range(arity)]
+            tri = [rng.choice(SCALES) * xs[i] + rests[i] for i in range(arity)]
+            cases.append(("triangular", tri, MapClass.TRIANGULAR, None))
+            i = rng.randrange(arity - 1)
+            bent = list(tri)
+            bent[i] = tri[i] + rng.choice(SCALES) * xs[i] * xs[rng.randrange(i + 1, arity)]
+            cases.append(("near miss", bent, MapClass.GENERAL, None))
+            bent = list(tri)
+            bent[i] = rests[i]
+            cases.append(("near miss", bent, MapClass.GENERAL, None))
+            k = rng.randrange(1, arity)
+            bent = list(tri)
+            bent[k] = tri[k] + rng.choice(SCALES) * xs[k - 1] ** 2
+            cases.append(("near miss", bent, MapClass.GENERAL, None))
+
+            i = rng.randrange(arity)
+            scale = rng.choice(SCALES + [1])
+            addend = _random_poly(rng, arity, [k for k in range(arity) if k != i])
+            elem = list(xs)
+            elem[i] = scale * xs[i] + addend
+            cases.append(("elementary", elem, MapClass.ELEMENTARY, (i, scale, addend)))
+            j = rng.choice([k for k in range(arity) if k != i])
+            for extra in (xs[i] * xs[j], xs[i] ** 2):
+                bent = list(elem)
+                bent[i] = elem[i] + rng.choice(SCALES) * extra
+                cases.append(("near miss", bent, MapClass.GENERAL, None))
+            bent = list(xs)
+            bent[i] = addend
+            cases.append(("near miss", bent, MapClass.GENERAL, None))
+    return cases
+
+
+SHAPE_CORPUS = _shape_corpus()
+
+
+@pytest.mark.parametrize("kind", ["triangular", "elementary", "near miss"])
+def test_shape_corpus(kind):
+    cases = [c for c in SHAPE_CORPUS if c[0] == kind]
+    assert len(cases) >= 24
+    for _, coords, expected, detail in cases:
+        m = PolynomialMap(coords)
+        assert classify_map(m) is expected, m
+        d = elementary_detail(m)
+        assert (d and (d.index, d.scale, d.addend)) == detail, m
+        if expected is not MapClass.ELEMENTARY:
+            assert is_triangular(m) is (expected is MapClass.TRIANGULAR), m
+        if expected is MapClass.GENERAL:
+            with pytest.raises(WrongShape):
+                invert_factor(m)
+        else:
+            # the inverse is unique, so passing the check pins it exactly
+            assert verify_inverse_pair(m, invert_factor(m)), m

@@ -2,10 +2,10 @@
 
 sympy is only a test dependency: it serves as an independent exact
 oracle for sums, differences, scalar and polynomial products, powers,
-``substitute``, ``map_exponents``, ``partial``, ``jacobian_det`` and the
-coefficient readers.  Every result must also be in normal form: integer
-numerators, none zero, over a positive denominator that shares no factor
-with all of them.
+``substitute``, ``map_exponents``, ``partial``, ``jacobian_det``,
+``split_variable`` and the coefficient readers.  Every result must also
+be in normal form: integer numerators, none zero, over a positive
+denominator that shares no factor with all of them.
 """
 
 from fractions import Fraction
@@ -274,6 +274,36 @@ def test_partial_matches_sympy(case):
     f, index = case
     names = TARGET[: f.arity]
     assert_matches(f.partial(index), sympy.diff(to_sympy(f, names), names[index]), names)
+
+
+@st.composite
+def variable_splits(draw):
+    # a random polynomial plus a drawn multiple (maybe 0) of x_index, so
+    # the x_index term is present in most cases and cancels in some
+    arity = draw(arities)
+    index = draw(st.integers(0, arity - 1))
+    p = draw(polys(arity)) + draw(scalars) * Polynomial.variables(arity)[index]
+    return p, index
+
+
+@settings(max_examples=80, deadline=None)
+@given(variable_splits())
+@example((Fraction(1, 2) * x + Fraction(1, 3) * y, 0))  # rest keeps a denominator
+@example((Fraction(2, 3) * X + 2 * Y * Z - 1, 0))  # the denominator leaves with x
+@example((x * y + x**2 + 3, 0))  # terms holding x are not the x term
+@example((Fraction(-5, 4) * Z, 2))  # rest is zero
+@example((Polynomial.zero(2), 1))
+def test_split_variable_matches_sympy(case):
+    p, index = case
+    names = TARGET[: p.arity]
+    scale, rest = p.split_variable(index)
+    assert scale * Polynomial.variables(p.arity)[index] + rest == p
+    unit = tuple(1 if k == index else 0 for k in range(p.arity))
+    assert unit not in rest.terms
+    assert_canonical(rest)
+    assert type(scale) is int or scale.denominator != 1
+    expected = sympy.Poly(to_sympy(p, names), *names).coeff_monomial(names[index])
+    assert scale == Fraction(int(expected.p), int(expected.q))
 
 
 @settings(max_examples=40, deadline=None)
