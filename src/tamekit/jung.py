@@ -17,8 +17,6 @@ automatically, for the reasons given in their docstrings.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     ArityMismatch,
     NotAnAutomorphism,
@@ -34,7 +32,7 @@ from .maps import (
     plane_swap,
 )
 from .newton import Obstruction, analyze_top_edge, newton_area
-from .poly import Polynomial, _coerce
+from .poly import Polynomial, _div
 
 _X, _Y = Polynomial.variables(2)
 
@@ -48,7 +46,7 @@ def _shear_for_edge(edge):
     """The shear killing the top edge, its inverse, and a note."""
     lam = edge.coefficient
     if edge.p == 1:
-        recip = _coerce(Fraction(1) / Fraction(lam))
+        recip = _div(1, lam)
         psi = PolynomialMap((_X + recip * _Y**edge.q, _Y))
         psi_inv = PolynomialMap((_X - recip * _Y**edge.q, _Y))
         return psi, psi_inv, ""
@@ -83,15 +81,13 @@ def _base_factors(current):
         current = PolynomialMap(tuple(c.map_exponents(2, swap) for c in current.coords))
         f, g = current.coords
         swapped = True
-    gy = g.partial(1)
-    if gy.is_zero() or not gy.is_constant():
+    mu, w = g.split_variable(1)
+    if mu == 0 or w.involves(1):
         raise NotAnAutomorphism(
             f"second coordinate {g} is not linear in y over K[x]"
         )
-    mu = gy.constant_value()
-    w = g - mu * _Y  # free of y, since its y-derivative is zero
     aff = PolynomialMap((scale * _X + shift, mu * _Y))
-    elem = PolynomialMap((_X, _Y + w * _coerce(Fraction(1) / Fraction(mu))))
+    elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
     ident = identity_map(2)
     factors = [fac for fac in (aff, elem) if fac != ident]
     if swapped:

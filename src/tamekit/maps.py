@@ -16,8 +16,14 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ArityMismatch, EmptySequence, InvariantViolation, WrongShape
-from .poly import Polynomial, _coerce
+from .errors import (
+    ArityMismatch,
+    EmptySequence,
+    InvariantViolation,
+    WrongShape,
+    ZeroPolynomial,
+)
+from .poly import Polynomial, _coerce, _div
 
 
 class PolynomialMap:
@@ -52,7 +58,10 @@ class PolynomialMap:
         return poly.substitute(self.coords)
 
     def degree(self):
-        return max(c.total_degree() for c in self.coords if not c.is_zero())
+        degrees = [c.total_degree() for c in self.coords if not c.is_zero()]
+        if not degrees:
+            raise ZeroPolynomial("the zero map has no degree")
+        return max(degrees)
 
     def is_origin_preserving(self):
         return all(c.constant_term() == 0 for c in self.coords)
@@ -187,7 +196,7 @@ def matrix_inverse(rows):
             cof = _det(minor) if n > 1 else 1
             if (i + j) % 2:
                 cof = -cof
-            row.append(_coerce(Fraction(cof) / Fraction(det)))
+            row.append(_div(cof, det))
         out.append(row)
     return out
 
@@ -273,13 +282,8 @@ def elementary_detail(m):
     if len(special) > 1:
         return None
     i = special[0] if special else 0
-    c = m.coords[i]
-    unit = tuple(1 if k == i else 0 for k in range(n))
-    scale = c.coeff(unit)
-    if scale == 0:
-        return None
-    addend = c - scale * xs[i]
-    if addend.involves(i):
+    scale, addend = m.coords[i].split_variable(i)
+    if scale == 0 or addend.involves(i):
         return None
     return ElementaryDetail(i, scale, addend)
 
@@ -287,15 +291,9 @@ def elementary_detail(m):
 def is_triangular(m):
     """Each coordinate is a nonzero multiple of its variable plus a
     polynomial in strictly later variables."""
-    n = m.arity
-    xs = Polynomial.variables(n)
-    for i in range(n):
-        unit = tuple(1 if k == i else 0 for k in range(n))
-        scale = m.coords[i].coeff(unit)
-        if scale == 0:
-            return False
-        rest = m.coords[i] - scale * xs[i]
-        if any(exps[j] for exps in rest._num for j in range(i + 1)):
+    for i, c in enumerate(m.coords):
+        scale, rest = c.split_variable(i)
+        if scale == 0 or any(exps[j] for exps in rest._num for j in range(i + 1)):
             return False
     return True
 
@@ -323,12 +321,9 @@ def _invert_triangular(m):
     xs = Polynomial.variables(n)
     inv = list(xs)
     for i in reversed(range(n)):
-        unit = tuple(1 if k == i else 0 for k in range(n))
-        scale = m.coords[i].coeff(unit)
-        rest = m.coords[i] - scale * xs[i]
+        scale, rest = m.coords[i].split_variable(i)
         images = list(xs[: i + 1]) + inv[i + 1:]
-        recip = _coerce(Fraction(1) / Fraction(scale))
-        inv[i] = (xs[i] - rest.substitute(images)) * recip
+        inv[i] = (xs[i] - rest.substitute(images)) * _div(1, scale)
     return PolynomialMap(inv)
 
 
@@ -353,9 +348,8 @@ def invert_factor(m):
     if cls is MapClass.ELEMENTARY:
         d = elementary_detail(m)
         xs = Polynomial.variables(m.arity)
-        recip = _coerce(Fraction(1) / Fraction(d.scale))
         coords = list(xs)
-        coords[d.index] = (xs[d.index] - d.addend) * recip
+        coords[d.index] = (xs[d.index] - d.addend) * _div(1, d.scale)
         return PolynomialMap(coords)
     if cls is MapClass.TRIANGULAR:
         return _invert_triangular(m)

@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import ArityMismatch, ZeroPolynomial
 from .grading import Grading
-from .poly import Polynomial, _coerce
+from .poly import Polynomial, _div
 
 
 def _cross(o, a, b):
@@ -153,7 +153,7 @@ def analyze_top_edge(f):
     p = big_p // mult
     q = big_q // mult
     scale = f.coeff((0, big_q))
-    coefficient = _coerce(-Fraction(f.coeff((p, q * (mult - 1)))) / (mult * Fraction(scale)))
+    coefficient = _div(-f.coeff((p, q * (mult - 1))), mult * scale)
     if coefficient == 0:
         return Obstruction("edge coefficient vanishes")
     x, y = Polynomial.variables(2)

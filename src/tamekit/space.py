@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 from .errors import (
@@ -78,24 +77,19 @@ from .maps import (
     map_from_matrix,
     matrix_det,
     matrix_inverse,
+    matrix_product,
     verify_inverse_pair,
 )
-from .poly import Polynomial, _coerce
+from .poly import Polynomial, _div
 
 _U, _V = Polynomial.variables(2)
 _X, _Y, _Z = Polynomial.variables(3)
 
 
-def _div(num, den):
-    return _coerce(Fraction(num) / Fraction(den))
-
-
-def _scalar_coord(coord, index, arity):
+def _scalar_coord(coord, index):
     """The scale when coord == scale * variable(index) exactly, else None."""
-    unit = tuple(1 if k == index else 0 for k in range(arity))
-    if coord._num.keys() == {unit}:
-        return coord.coeff(unit)
-    return None
+    scale, rest = coord.split_variable(index)
+    return scale if scale and rest.is_zero() else None
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +299,7 @@ def split_z_scaling(m, weights):
 
 def _split_z(m):
     """split_z_scaling for a map already known to be graded."""
-    lam = _scalar_coord(m.coords[2], 2, 3)
+    lam = _scalar_coord(m.coords[2], 2)
     if lam is None:
         raise ThirdCoordinateNotScalar(
             f"third coordinate {m.coords[2]} is not a nonzero scalar multiple of z"
@@ -437,8 +431,7 @@ def _degree_test(cls, mm):
     mixed coprime weights."""
     qh = cls.q_hat
     pm = restrict_to_plane(_split_z(mm)[1])
-    lam = pm.coords[0].coeff((1, 0))
-    drop = pm.coords[0] - lam * _U
+    lam, drop = pm.coords[0].split_variable(0)
     threshold = qh - cls.normalized.weights[2]
     for exps in sorted(drop._num, key=lambda e: (sum(e), e)):
         if sum(exps) < threshold:
@@ -647,27 +640,22 @@ def decompose_positive(m, weights):
     factors = []
     for level in sorted(set(w)):
         idxs = [i for i in range(n) if w[i] == level]
-        units = [tuple(1 if k == j else 0 for k in range(n)) for j in idxs]
-        block = [
-            [m.coords[i].coeff(unit) for unit in units] for i in idxs
-        ]
+        block, tails = [], []
+        for i in idxs:
+            row, tail = [], m.coords[i]
+            for j in idxs:
+                scale, tail = tail.split_variable(j)
+                row.append(scale)
+            # the NotGraded check confines the tail to lower-weight variables
+            block.append(row)
+            tails.append(tail)
         if matrix_det(block) == 0:
             raise NotAnAutomorphism(
                 f"the weight-{level} linear block of {m} is singular"
             )
-        tails = []
-        for r, i in enumerate(idxs):
-            tail = m.coords[i]
-            for col, j in enumerate(idxs):
-                tail = tail - block[r][col] * xs[j]
-            # the NotGraded check confines the rest to lower-weight variables
-            tails.append(tail)
         lin_coords = list(xs)
-        for r, i in enumerate(idxs):
-            acc = Polynomial.zero(n)
-            for col, j in enumerate(idxs):
-                acc = acc + block[r][col] * xs[j]
-            lin_coords[i] = acc
+        for i, tail in zip(idxs, tails):
+            lin_coords[i] = m.coords[i] - tail
         factors.append(PolynomialMap(lin_coords))
         inv = matrix_inverse(block)
         for r, i in enumerate(idxs):
@@ -693,11 +681,11 @@ def _zero_distinct_pair(mm):
     linear in z: the coefficients are read off directly.
     """
     f, g, h = mm.coords
-    lam1 = f.coeff((1, 0, 0))
-    kappa = h.coeff((0, 0, 1))
+    lam1, rest = f.split_variable(0)
+    kappa, shift = h.split_variable(2)
     # push the z line through the shear so the chain ends with it
-    z_inverse = (_Z - h.constant_term()) * _div(1, kappa)
-    addend = (f - lam1 * _X).substitute((_X, _Y, z_inverse))
+    z_inverse = (_Z - shift) * _div(1, kappa)
+    addend = rest.substitute((_X, _Y, z_inverse))
     return [
         PolynomialMap((lam1 * _X, g, _Z)),
         PolynomialMap((_X + addend * _div(1, lam1), _Y, _Z)),
@@ -786,21 +774,20 @@ def _scalars_and_shear(mm, open_idx):
     be a non-automorphism with a nonzero constant Jacobian determinant:
     a counterexample to the Jacobian conjecture.
     """
-    lam3 = _scalar_coord(mm.coords[2], 2, 3)
+    lam3 = _scalar_coord(mm.coords[2], 2)
     if lam3 is None:
         raise ThirdCoordinateNotScalar(
             f"third coordinate {mm.coords[2]} must be a scalar multiple of z"
         )
     frozen = 1 - open_idx
-    if _scalar_coord(mm.coords[frozen], frozen, 3) is None:
+    if _scalar_coord(mm.coords[frozen], frozen) is None:
         raise NotAnAutomorphism(
             f"coordinate {mm.coords[frozen]} must be a scalar multiple of "
             f"its variable for these weights"
         )
     xs = Polynomial.variables(3)
     coord = mm.coords[open_idx]
-    lam_open = coord.coeff(tuple(1 if k == open_idx else 0 for k in range(3)))
-    rest = coord - lam_open * xs[open_idx]
+    lam_open, rest = coord.split_variable(open_idx)
     if lam_open == 0 or rest.involves(open_idx):
         raise NotAnAutomorphism(
             f"coordinate {coord} must be linear in its variable with a "
@@ -871,21 +858,8 @@ def decompose_zero_cases(m, weights):
 # ---------------------------------------------------------------------------
 # mixed-sign weights: rewrite plane chains into liftable form
 
-_ID2 = ((1, 0), (0, 1))
-_SWAP2 = ((0, 1), (1, 0))
-
-
-def _mat_mul(p, q):
-    return (
-        (
-            p[0][0] * q[0][0] + p[0][1] * q[1][0],
-            p[0][0] * q[0][1] + p[0][1] * q[1][1],
-        ),
-        (
-            p[1][0] * q[0][0] + p[1][1] * q[1][0],
-            p[1][0] * q[0][1] + p[1][1] * q[1][1],
-        ),
-    )
+_ID2 = [[1, 0], [0, 1]]
+_SWAP2 = [[0, 1], [1, 0]]
 
 
 def _emit_split(emitted, p):
@@ -904,11 +878,10 @@ def _emit_split(emitted, p):
 def _strip_first_shear(emitted, scale, addend):
     """Write (scale*u + addend(v), v) as a pure shear times a linear map;
     addend has no constant term, as the walk checks the origin."""
-    beta = addend.coeff((0, 1))
-    nonlin = addend - beta * _V
+    beta, nonlin = addend.split_variable(1)
     if not nonlin.is_zero():
         emitted.append(PolynomialMap((_U + nonlin, _V)))
-    return ((scale, beta), (0, 1))
+    return [[scale, beta], [0, 1]]
 
 
 def _absorb(emitted, p, f):
@@ -928,16 +901,16 @@ def _absorb(emitted, p, f):
             return _strip_first_shear(emitted, d.scale, d.addend)
         if pa != 0:
             q = _div(pb, pa)
-            _emit_split(emitted, ((pa, 0), (pc, pd - q * pc)))
+            _emit_split(emitted, [[pa, 0], [pc, pd - q * pc]])
             bumped = d.addend + q * _V
             return _strip_first_shear(emitted, d.scale, bumped)
     elif pb == 0:
         _emit_split(emitted, p)
         emitted.append(PolynomialMap((_U, _V + d.addend)))
-        return ((1, 0), (0, d.scale))
+        return [[1, 0], [0, d.scale]]
     swap = lambda e: (e[1], e[0])
     conj = PolynomialMap(tuple(c.map_exponents(2, swap) for c in reversed(f.coords)))
-    return _mat_mul(_absorb(emitted, _mat_mul(p, _SWAP2), conj), _SWAP2)
+    return matrix_product(_absorb(emitted, matrix_product(p, _SWAP2), conj), _SWAP2)
 
 
 def rewrite_liftable_chain(chain, weights):
@@ -981,10 +954,7 @@ def _rewrite_walk(factors, rg):
             raise OriginNotPreserved(f"factor {f} moves the origin")
         kind = classify_map(f)
         if kind is MapClass.LINEAR:
-            mat, _ = affine_parts(f)
-            pending = _mat_mul(
-                pending, ((mat[0][0], mat[0][1]), (mat[1][0], mat[1][1]))
-            )
+            pending = matrix_product(pending, affine_parts(f)[0])
         elif kind is MapClass.ELEMENTARY:
             pending = _absorb(emitted, pending, f)
         elif kind is not MapClass.IDENTITY:
@@ -993,7 +963,7 @@ def _rewrite_walk(factors, rg):
         if pending[0][1] == 0:
             _emit_split(emitted, pending)
         else:
-            emitted.append(map_from_matrix([list(pending[0]), list(pending[1])]))
+            emitted.append(map_from_matrix(pending))
     return emitted
 
 
@@ -1040,12 +1010,8 @@ def decompose_qhat_low(m, weights):
 def _split_triangular(m):
     """Factor a triangular three-variable map into a diagonal, two shears
     and a translation of z."""
-    lam1 = m.coords[0].coeff((1, 0, 0))
-    lam2 = m.coords[1].coeff((0, 1, 0))
-    lam3 = m.coords[2].coeff((0, 0, 1))
-    nu = _div(m.coords[2].constant_term(), lam3)
-    f1 = m.coords[0] - lam1 * _X
-    f2 = m.coords[1] - lam2 * _Y
+    (lam1, f1), (lam2, f2), (lam3, f3) = (c.split_variable(i) for i, c in enumerate(m.coords))
+    nu = _div(f3.constant_term(), lam3)
     g2 = f2.substitute((_X, _Y, _Z - nu)) * _div(1, lam2)
     g1 = f1.substitute((_X, _Y - g2, _Z - nu)) * _div(1, lam1)
     return [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tamekit.errors import ArityMismatch, EmptySequence, WrongShape
+from tamekit.errors import ArityMismatch, EmptySequence, WrongShape, ZeroPolynomial
 from tamekit.maps import (
     ElementaryDetail,
     FactorChain,
@@ -154,6 +154,12 @@ def test_factor_chain_empty_means_identity():
 def test_arity_guard():
     with pytest.raises(ArityMismatch):
         compose(identity_map(2), identity_map(3))
+
+
+def test_degree_skips_zero_coordinates_and_rejects_the_zero_map():
+    assert PolynomialMap((Polynomial.zero(2), x * y**2 + 1)).degree() == 3
+    with pytest.raises(ZeroPolynomial):
+        PolynomialMap((Polynomial.zero(3),) * 3).degree()
 
 
 # ---------------------------------------------------------------------------
