@@ -293,7 +293,7 @@ def is_triangular(m):
     polynomial in strictly later variables."""
     for i, c in enumerate(m.coords):
         scale, rest = c.split_variable(i)
-        if scale == 0 or any(exps[j] for exps in rest._num for j in range(i + 1)):
+        if scale == 0 or any(rest.involves(j) for j in range(i + 1)):
             return False
     return True
 

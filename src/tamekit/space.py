@@ -1010,7 +1010,9 @@ def decompose_qhat_low(m, weights):
 def _split_triangular(m):
     """Factor a triangular three-variable map into a diagonal, two shears
     and a translation of z."""
-    (lam1, f1), (lam2, f2), (lam3, f3) = (c.split_variable(i) for i, c in enumerate(m.coords))
+    (lam1, f1), (lam2, f2), (lam3, f3) = (
+        c.split_variable(i) for i, c in enumerate(m.coords)
+    )
     nu = _div(f3.constant_term(), lam3)
     g2 = f2.substitute((_X, _Y, _Z - nu)) * _div(1, lam2)
     g1 = f1.substitute((_X, _Y - g2, _Z - nu)) * _div(1, lam1)
