@@ -3,7 +3,9 @@
 Maps are given inline as '(f, g)' or '(f, g, h)', as a JSON document
 '{"vars": ..., "coords": ..., "grading": ...}', or as '@path' naming a
 file that holds either form.  A document's embedded grading is used
-when no --grading flag is given.  Every command accepts --json.
+when no --grading flag is given; its modulus, if any, is honoured by a
+plane decompose and refused (exit 64) by the commands that need exact
+weights.  Every command accepts --json.
 
 Exit codes:
     0   success (including "true" answers and inconclusive certificates)
@@ -33,7 +35,7 @@ from .errors import (
     WildAdmittingUndecided,
     WrongShape,
 )
-from .grading import Grading, ResidueGrading
+from .grading import Grading, plane_residue_grading
 from .jung import (
     decompose_plane,
     decompose_plane_graded,
@@ -69,21 +71,33 @@ def _load_map(text):
 
 
 def _weights_for(args, doc):
-    """--grading wins; the document grading is the fallback."""
+    """Exact weights: --grading wins; the document grading is the fallback.
+
+    A document grading with a modulus is refused, not read without it.
+    """
     if getattr(args, "grading", None):
         return parse_weights(args.grading)
-    if doc is not None and doc.weights is not None:
-        return doc.weights
-    return None
+    if doc is None or doc.weights is None:
+        return None
+    if doc.modulus is not None:
+        raise ParseError(
+            f"this command needs exact weights, but the document grading "
+            f"has modulus {doc.modulus}"
+        )
+    return doc.weights
 
 
-def _plane_grading(weights):
-    """A two-variable grading from CLI weights.
+def _plane_grading(args, doc):
+    """The grading of a plane decompose, or None for none.
 
-    Two weights give an exact plane grading; three weights (a, b, -c)
-    give the residue grading modulo c that three-variable gradedness
-    restricts to on the slice z = 1.
+    Two --grading weights give an exact plane grading; three weights
+    (a, b, -c) give the residue grading modulo c that three-variable
+    gradedness restricts to on the slice z = 1.  Without the flag the
+    document grading applies, modulus included.
     """
+    if not args.grading:
+        return None if doc is None else doc.grading()
+    weights = parse_weights(args.grading)
     if len(weights) == 2:
         return Grading(weights)
     if len(weights) == 3:
@@ -91,7 +105,7 @@ def _plane_grading(weights):
             raise WrongShape(
                 f"plane residue weights look like (a, b, -c), got {weights}"
             )
-        return ResidueGrading((weights[0], weights[1]), -weights[2])
+        return plane_residue_grading(weights[0], weights[1], -weights[2])
     raise ParseError(f"expected 2 or 3 weights, got {len(weights)}")
 
 
@@ -194,18 +208,18 @@ def _cmd_invert(args):
 
 def _cmd_decompose(args):
     m, doc = _load_map(args.map)
-    weights = _weights_for(args, doc)
     steps = [] if args.trace_svg else None
     trace = None if steps is None else (lambda cur, area: steps.append((cur, area)))
     if m.arity == 2:
-        if weights is None:
+        grading = _plane_grading(args, doc)
+        if grading is None:
             chain = decompose_plane(m, trace=trace)
         else:
-            chain = decompose_plane_graded(m, _plane_grading(weights), trace=trace)
+            chain = decompose_plane_graded(m, grading, trace=trace)
     else:
         if args.trace_svg:
             raise WrongShape("--trace-svg needs a two-variable map")
-        result = decompose_graded(m, weights or (0, 0, 0))
+        result = decompose_graded(m, _weights_for(args, doc) or (0, 0, 0))
         if isinstance(result, WildnessCertificate):
             _emit(
                 args,

@@ -1,10 +1,11 @@
 """Weight gradings on polynomial rings.
 
-Two kinds are supported.  A Grading assigns an integer weight to each
-variable and grades by exact weighted degree; a ResidueGrading grades
-by weighted degree modulo a fixed modulus.  Both expose the same
-homogeneity protocol, so the decomposition engines can run against
-either.
+A Grading assigns an integer weight to each variable and grades by
+weighted degree.  A ResidueGrading is a Grading whose weights are read
+modulo a fixed modulus: setting z = 1 turns the Z-grading (a, b, -c)
+into the plane grading "weight modulo c".  It overrides only how a term
+is weighed, so the decomposition engines run against either through
+the one homogeneity protocol.
 
 normalize_weights puts a triple of weights into the canonical shape the
 three-variable routines expect (gcd one, at most one negative weight and
@@ -40,9 +41,14 @@ def _check_weights(weights):
 
 
 class Grading:
-    """Z-grading: each variable carries an integer weight."""
+    """Z-grading: each variable carries an integer weight.
+
+    A subclass may read the weights modulo ``modulus``; the exact grading
+    has none, and equality and hashing compare the pair.
+    """
 
     __slots__ = ("weights",)
+    modulus = None
 
     def __init__(self, weights):
         self.weights = _check_weights(weights)
@@ -56,7 +62,7 @@ class Grading:
 
     def degree(self, poly):
         """Highest weight over the terms (ZeroPolynomial on zero)."""
-        self._check_poly(poly)
+        self._check_arity(poly, "polynomial")
         if poly.is_zero():
             raise ZeroPolynomial("the zero polynomial has no weighted degree")
         return max(self.weight(e) for e in poly._num)
@@ -68,11 +74,12 @@ class Grading:
         return Polynomial._raw(poly.arity, num, poly._den)
 
     def is_homogeneous(self, poly):
-        self._check_poly(poly)
+        self._check_arity(poly, "polynomial")
         return len({self.weight(e) for e in poly._num}) <= 1
 
     def homogeneous_degree(self, poly):
-        self._check_poly(poly)
+        """The weight all terms share (NotHomogeneous if they differ)."""
+        self._check_arity(poly, "polynomial")
         if poly.is_zero():
             raise ZeroPolynomial("the zero polynomial has no weighted degree")
         found = {self.weight(e) for e in poly._num}
@@ -86,10 +93,7 @@ class Grading:
         Zero coordinates pass vacuously (they are homogeneous of every
         degree); a nonzero constant coordinate needs weight zero.
         """
-        if m.arity != self.arity:
-            raise ArityMismatch(
-                f"map arity {m.arity} does not match grading arity {self.arity}"
-            )
+        self._check_arity(m, "map")
         # one pass: each term's weight is computed once
         w = self.weights
         for want, c in zip(w, m.coords):
@@ -98,28 +102,29 @@ class Grading:
                     return False
         return True
 
-    def _check_poly(self, poly):
-        if poly.arity != self.arity:
+    def _check_arity(self, thing, kind):
+        if thing.arity != self.arity:
             raise ArityMismatch(
-                f"polynomial arity {poly.arity} does not match grading arity {self.arity}"
+                f"{kind} arity {thing.arity} does not match grading arity {self.arity}"
             )
 
     def __eq__(self, other):
         if not isinstance(other, Grading):
             return NotImplemented
-        return self.weights == other.weights
+        return (self.weights, self.modulus) == (other.weights, other.modulus)
 
     def __hash__(self):
-        return hash(("Z", self.weights))
+        return hash((self.weights, self.modulus))
 
     def __repr__(self):
         return f"Grading{self.weights}"
 
 
-class ResidueGrading:
-    """Grading by weighted degree modulo a fixed positive modulus."""
+class ResidueGrading(Grading):
+    """A Grading whose weights, and so degrees, are read modulo a fixed
+    positive modulus."""
 
-    __slots__ = ("weights", "modulus")
+    __slots__ = ("modulus",)
 
     def __init__(self, weights, modulus):
         if not isinstance(modulus, int) or modulus < 1:
@@ -127,32 +132,11 @@ class ResidueGrading:
         self.modulus = modulus
         self.weights = tuple(w % modulus for w in _check_weights(weights))
 
-    @property
-    def arity(self):
-        return len(self.weights)
-
     def weight(self, exps):
-        return sum(w * e for w, e in zip(self.weights, exps)) % self.modulus
-
-    def is_homogeneous(self, poly):
-        self._check_poly(poly)
-        return len({self.weight(e) for e in poly._num}) <= 1
-
-    def homogeneous_degree(self, poly):
-        """The residue all terms share (NotHomogeneous if they differ)."""
-        self._check_poly(poly)
-        if poly.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no residue degree")
-        found = {self.weight(e) for e in poly._num}
-        if len(found) != 1:
-            raise NotHomogeneous(f"{poly} mixes residues {sorted(found)}")
-        return found.pop()
+        return super().weight(exps) % self.modulus
 
     def is_graded_map(self, m):
-        if m.arity != self.arity:
-            raise ArityMismatch(
-                f"map arity {m.arity} does not match grading arity {self.arity}"
-            )
+        self._check_arity(m, "map")
         # one pass; the stored weights are already reduced mod the modulus
         w, mod = self.weights, self.modulus
         for want, c in zip(w, m.coords):
@@ -160,20 +144,6 @@ class ResidueGrading:
                 if sum(map(mul, w, e)) % mod != want:
                     return False
         return True
-
-    def _check_poly(self, poly):
-        if poly.arity != self.arity:
-            raise ArityMismatch(
-                f"polynomial arity {poly.arity} does not match grading arity {self.arity}"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueGrading):
-            return NotImplemented
-        return self.weights == other.weights and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("Zmod", self.modulus, self.weights))
 
     def __repr__(self):
         return f"ResidueGrading({self.weights}, mod {self.modulus})"

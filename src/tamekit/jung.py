@@ -167,8 +167,6 @@ def decompose_plane_graded(m, grading, trace=None):
     swap occurs only when f = scale*y + shift gives x and y one weight.
     """
     _check_plane(m)
-    if grading.arity != 2:
-        raise ArityMismatch("plane decomposition needs a two-variable grading")
     if not grading.is_graded_map(m):
         raise NotGradedPlane(f"{m} is not graded for {grading!r}")
     return decompose_plane(m, trace)

@@ -185,6 +185,8 @@ def matrix_inverse(rows):
     det = matrix_det(rows)
     if det == 0:
         raise WrongShape("matrix is singular")
+    # one exact division per matrix: at det = ±1 each entry is an int product
+    inv_det = _div(1, det)
     out = []
     for i in range(n):
         row = []
@@ -196,7 +198,7 @@ def matrix_inverse(rows):
             cof = _det(minor) if n > 1 else 1
             if (i + j) % 2:
                 cof = -cof
-            row.append(_div(cof, det))
+            row.append(_coerce(cof * inv_det))
         out.append(row)
     return out
 

@@ -400,10 +400,8 @@ class MapDocument:
             names = DEFAULT_NAMES.get(m.arity)
             _require(names is not None, f"pass names= for arity {m.arity}")
         weights = modulus = None
-        if isinstance(grading, ResidueGrading):
-            weights, modulus = tuple(grading.weights), grading.modulus
-        elif isinstance(grading, Grading):
-            weights = tuple(grading.weights)
+        if isinstance(grading, Grading):
+            weights, modulus = grading.weights, grading.modulus
         elif grading is not None:
             weights = tuple(grading)
         return cls(

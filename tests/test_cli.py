@@ -182,6 +182,40 @@ def test_grading_flag_overrides_document(capsys):
     assert code == 2  # the flag's weights apply, and the map is not graded
 
 
+RESIDUE_DOC = json.dumps(
+    {
+        "vars": ["x", "y"],
+        "coords": ["x + y^2", "y"],
+        "grading": {"weights": [7, 2], "modulus": 3},
+    }
+)
+
+
+def test_plane_decompose_reads_the_document_modulus(capsys):
+    code, out, _ = run(capsys, "decompose", RESIDUE_DOC)
+    assert code == 0
+    code, flagged, _ = run(capsys, "decompose", "(x + y^2, y)", "--grading", "7,2,-3")
+    assert code == 0 and out == flagged
+
+
+@pytest.mark.parametrize("command", ["verify", "invert", "decompose", "certify-wild"])
+def test_exact_weight_commands_refuse_a_document_modulus(capsys, command):
+    doc = json.dumps(
+        {
+            "vars": ["x", "y", "z"],
+            "coords": ["y^2*z + x", "y", "z"],
+            "grading": {"weights": [1, 1, -1], "modulus": 2},
+        }
+    )
+    code, _, err = run(capsys, command, doc)
+    assert code == 64 and "modulus" in err
+
+
+def test_lift_refuses_a_document_modulus(capsys):
+    code, _, err = run(capsys, "lift", RESIDUE_DOC)
+    assert code == 64 and "modulus" in err
+
+
 def test_lift(capsys):
     code, out, _ = run(capsys, "lift", "(u + v^5, v)", "--grading", "7,2,-3")
     assert code == 0

@@ -77,6 +77,34 @@ def test_residue_graded_map():
     assert not g.is_graded_map(PolynomialMap((x + y, y)))
 
 
+def test_exact_and_residue_gradings_stay_distinct():
+    exact, residue = Grading((1, 2)), ResidueGrading((1, 2), 3)
+    assert exact != residue and residue != exact
+    assert len({exact, residue}) == 2
+
+
+def test_residue_grading_equality_reads_reduced_weights():
+    assert ResidueGrading((4, 2), 3) == ResidueGrading((1, 2), 3)
+    assert hash(ResidueGrading((4, 2), 3)) == hash(ResidueGrading((1, 2), 3))
+    assert ResidueGrading((1, 2), 3) != ResidueGrading((1, 2), 4)
+
+
+def test_residue_homogeneous_degree_errors():
+    g = ResidueGrading((1, 2), 3)
+    with pytest.raises(ZeroPolynomial):
+        g.homogeneous_degree(Polynomial.zero(2))
+    with pytest.raises(NotHomogeneous):
+        g.homogeneous_degree(x + y)
+    with pytest.raises(ArityMismatch):
+        g.homogeneous_degree(X)
+
+
+@pytest.mark.parametrize("g", [Grading((1, 2)), ResidueGrading((1, 2), 3)])
+def test_graded_map_check_refuses_other_arity(g):
+    with pytest.raises(ArityMismatch):
+        g.is_graded_map(PolynomialMap((X, Y, Z)))
+
+
 def test_normalize_divides_and_swaps():
     n = normalize_weights((2, 4, -6))
     assert n.weights == (2, 1, -3)

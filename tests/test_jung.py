@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamekit.errors import (
+    ArityMismatch,
     NotAnAutomorphism,
     NotGradedPlane,
     OriginNotPreserved,
@@ -125,6 +126,11 @@ def test_graded_variant_residue_weights():
     m = PolynomialMap((x + y**2, y))
     chain = decompose_plane_graded(m, grading)
     assert all(grading.is_graded_map(f) for f in chain.factors)
+
+
+def test_graded_variant_refuses_a_grading_of_another_arity():
+    with pytest.raises(ArityMismatch):
+        decompose_plane_graded(PolynomialMap((x + y**2, y)), Grading((1, 1, 1)))
 
 
 def test_graded_variant_keeps_mirrored_factor_graded():
