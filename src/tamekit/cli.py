@@ -5,7 +5,8 @@ Maps are given inline as '(f, g)' or '(f, g, h)', as a JSON document
 file that holds either form.  A document's embedded grading is used
 when no --grading flag is given; its modulus, if any, is honoured by a
 plane decompose and refused (exit 64) by the commands that need exact
-weights.  Every command accepts --json.
+weights.  lift reads its weights (a, b, -c) from --grading alone, since
+a plane document holds two.  Every command accepts --json.
 
 Exit codes:
     0   success (including "true" answers and inconclusive certificates)
@@ -303,10 +304,14 @@ def _cmd_witness(args):
 
 def _cmd_lift(args):
     m, doc = _load_map(args.map)
-    weights = _weights_for(args, doc)
-    if weights is None:
-        raise ParseError("lift needs --grading a,b,-c")
-    report = lift_plane_map(m, weights)
+    if not args.grading:
+        # a plane document holds two weights, never lift's (a, b, -c)
+        mod = "" if doc is None or doc.modulus is None else f" with modulus {doc.modulus}"
+        held = "" if doc is None or doc.weights is None else (
+            f"; the document's plane grading{mod} is not read"
+        )
+        raise ParseError(f"lift needs --grading a,b,-c{held}")
+    report = lift_plane_map(m, parse_weights(args.grading))
     if report.liftable:
         _emit(
             args,

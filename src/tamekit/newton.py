@@ -11,11 +11,10 @@ polynomial out.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import ArityMismatch, ZeroPolynomial
-from .grading import Grading
-from .poly import Polynomial, _div
+from .poly import _div, _scalar
 
 
 def _cross(o, a, b):
@@ -152,15 +151,20 @@ def analyze_top_edge(f):
     mult = gcd(big_p, big_q)
     p = big_p // mult
     q = big_q // mult
-    scale = f.coeff((0, big_q))
-    coefficient = _div(-f.coeff((p, q * (mult - 1))), mult * scale)
-    if coefficient == 0:
+    # the edge q*i + p*j = q*big_p holds just the points (k*p, (mult - k)*q);
+    # with numerators s at k = 0 and t at k = 1, scale*(y^q - c*x^p)^mult
+    # has c = -t/(mult*s) and k-th numerator C(mult, k)*t^k/(mult^k*s^(k-1))
+    num = f._num
+    s = num[(0, big_q)]
+    t = num.get((p, q * (mult - 1)), 0)
+    if not t:
         return Obstruction("edge coefficient vanishes")
-    x, y = Polynomial.variables(2)
-    expected = scale * (y**q - coefficient * x**p) ** mult
-    top = Grading((q, p)).top_component(f)
-    if top != expected:
-        return Obstruction("top edge is not a power of one binomial")
+    lhs, rhs = mult, t
+    for k in range(2, mult + 1):
+        lhs *= mult * s
+        rhs *= t
+        if num.get((k * p, (mult - k) * q), 0) * lhs != comb(mult, k) * rhs:
+            return Obstruction("top edge is not a power of one binomial")
     if p > 1 and q > 1:
         return Obstruction("neither edge exponent is 1")
-    return BinomialEdge(p, q, mult, scale, coefficient)
+    return BinomialEdge(p, q, mult, _scalar(s, f._den), _div(-t, mult * s))

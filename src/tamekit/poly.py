@@ -76,10 +76,10 @@ def _convolve(arity, t1, t2, acc):
     """Add the product of the int-coefficient term dicts ``t1`` and
     ``t2`` into ``acc``.  Sums that cancel stay in ``acc`` as zeros.
 
-    This is the one multiplication loop: ``__mul__``, ``__pow__`` and
-    ``substitute`` all end here.  Exponent addition is unrolled for the
-    two and three variable cases; the generic tuple-of-sums shows up in
-    profiles.
+    The product loop of ``__mul__``, ``__pow__`` and ``substitute``,
+    except powers of short bases (``_short_power``) and plane shears
+    (``_sheared``).  Exponent addition is unrolled for the two and three
+    variable cases; the generic tuple-of-sums shows up in profiles.
     """
     if len(t1) > len(t2):
         # the smaller factor outside means fewer inner loops to set up
@@ -397,12 +397,17 @@ class Polynomial:
         image are added linearly, and the group is then multiplied by
         one cached power per earlier variable, so each group costs at
         most arity - 1 products instead of each term costing two.
+        Plane shear images (x + r*y^q, y) or (x, y + r*x^q), q >= 0 (q = 0
+        a translation), take no product at all: see ``_sheared``.
         """
         images = tuple(images)
         if len(images) != self.arity:
             raise ArityMismatch(
                 f"need {self.arity} images, got {len(images)}"
             )
+        shear = _shear_of(images)
+        if shear is not None:
+            return self._sheared(*shear)
         target = None
         for img in images:
             if isinstance(img, Polynomial):
@@ -466,6 +471,26 @@ class Polynomial:
             _convolve(target, inner, factor, acc)
         return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, den)
 
+    def _sheared(self, s, q, rn, rd):
+        """self at x_s -> x_s + (rn/rd)*x_o^q, x_o -> x_o (o = 1 - s): each
+        term c*x_s^i*x_o^j is the binomial row sum_k C(i, k)*r^(i-k)*x_s^k*
+        x_o^(j + q(i-k)), on integer numerators over den*rd^top (top = max i)."""
+        top = max((e[s] for e in self._num), default=0)
+        rows, acc = {}, {}
+        get = acc.get
+        for e, c in self._num.items():
+            i, jq = e[s], e[1 - s] + q * e[s]
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = [
+                    comb(i, k) * rn ** (i - k) * rd ** (top - i + k) for k in range(i + 1)
+                ]
+            for k, v in enumerate(row):
+                key = (k, jq - q * k)
+                acc[key] = get(key, 0) + c * v
+        num = {(e[s], e[1 - s]): c for e, c in acc.items() if c}
+        return Polynomial._raw(2, num, self._den * rd**top)
+
     # ------------------------------------------------------------------
     # comparison and display
 
@@ -528,3 +553,17 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.arity}, {self.render()!r})"
+
+
+def _shear_of(images):
+    """(s, q, rn, rd) when the plane images are x_s + (rn/rd)*x_o^q with
+    q >= 0 and x_o itself (o = 1 - s), else None."""
+    if len(images) == 2 and all(isinstance(g, Polynomial) and g.arity == 2 for g in images):
+        for s, unit, other in ((0, (1, 0), (0, 1)), (1, (0, 1), (1, 0))):
+            img, fixed = images[s], images[1 - s]
+            num, bare = img._num, fixed._den == 1 and fixed._num == {other: 1}
+            if bare and len(num) == 2 and num.get(unit) == img._den:
+                ((e, rn),) = [(e, c) for e, c in num.items() if e != unit]
+                if not e[s]:
+                    return s, e[1 - s], rn, img._den
+    return None

@@ -1,4 +1,4 @@
-"""Shared fixtures: the acceptance verdict recorder.
+"""Shared fixtures: the acceptance verdict recorder and the wild witnesses.
 
 The acceptance tests each record a one line PASS/FAIL verdict; printing
 them from the terminal-summary hook keeps the lines visible even though
@@ -6,6 +6,8 @@ pytest captures stdout while the tests run.
 """
 
 import pytest
+
+from tamekit import wild_witness
 
 VERDICTS = []
 
@@ -17,6 +19,16 @@ def verdict():
         print(line)
 
     return record
+
+
+@pytest.fixture(scope="session")
+def wild_witnesses():
+    """((a, b, c), wild_witness((a, b, -c))) for each of the 1527 wild
+    triples of the criterion 3 sweep, in sweep order.  Built once for the
+    session: criterion 4 verifies them and the witness golden renders them."""
+    from test_golden_witness import wild_triples
+
+    return [((a, b, c), wild_witness((a, b, -c))) for a, b, c in wild_triples()]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -216,6 +216,17 @@ def test_lift_refuses_a_document_modulus(capsys):
     assert code == 64 and "modulus" in err
 
 
+def test_lift_reads_no_plane_document_grading(capsys):
+    # two exact weights are a plane grading, never lift's (a, b, -c)
+    doc = json.dumps(
+        {"vars": ["x", "y"], "coords": ["x + y^5", "y"], "grading": {"weights": [7, 2]}}
+    )
+    code, _, err = run(capsys, "lift", doc)
+    assert code == 64 and "--grading" in err and "must look like" not in err
+    code, out, _ = run(capsys, "lift", doc, "--grading", "7,2,-3")
+    assert code == 0 and out.strip() == "(y^5*z + x, y, z)"
+
+
 def test_lift(capsys):
     code, out, _ = run(capsys, "lift", "(u + v^5, v)", "--grading", "7,2,-3")
     assert code == 0

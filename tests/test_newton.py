@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tamekit.errors import ArityMismatch, ZeroPolynomial
+from tamekit.grading import Grading
 from tamekit.newton import (
     AxisSegment,
     BinomialEdge,
@@ -106,6 +107,57 @@ def test_obstruction_line_off_axes():
 
 
 # ---------------------------------------------------------------------------
+# the integer top-edge test against the polynomial construction it replaced
+
+
+def _edge_is_binomial_power(f, p, q, mult):
+    """The whole top component of f under the grading (q, p) compared with
+    scale*(y^q - c*x^p)^mult, as the top-edge test was first written."""
+    scale = f.coeff((0, q * mult))
+    c = -Fraction(f.coeff((p, q * (mult - 1)))) / (mult * scale)
+    return Grading((q, p)).top_component(f) == scale * (y**q - c * x**p) ** mult
+
+
+def _agrees_with_oracle(f, p, q, mult):
+    got = analyze_top_edge(f)
+    if _edge_is_binomial_power(f, p, q, mult):
+        assert isinstance(got, BinomialEdge)
+        assert (got.p, got.q, got.multiplicity) == (p, q, mult)
+        assert got.scale == f.coeff((0, q * mult))
+        assert got.coefficient == -Fraction(f.coeff((p, q * (mult - 1)))) / (mult * got.scale)
+    else:
+        assert isinstance(got, Obstruction)
+        assert got.reason == "top edge is not a power of one binomial"
+    return got
+
+
+@pytest.mark.parametrize(
+    "f, p, q, mult",
+    [
+        # an extra term on the edge, at k = 1 and at k = 2
+        ((y - x) ** 3 + 2 * x * y**2, 1, 1, 3),
+        ((y**2 - 2 * x) ** 2 + 3 * x**2 + y, 1, 2, 2),
+        # a missing middle term
+        ((y - x) ** 3 - 3 * x**2 * y, 1, 1, 3),
+        ((y - Fraction(1, 2) * x**3) ** 4 - Fraction(3, 8) * x**6 * y**2, 3, 1, 4),
+        # a wrong middle coefficient at mult >= 3, with a rational scale
+        (Fraction(2, 3) * (y**2 - Fraction(1, 2) * x) ** 4 + Fraction(1, 5) * x**3 * y**2, 1, 2, 4),
+        (Fraction(-5, 7) * (y - 3 * x**2) ** 3 + x**4 * y, 2, 1, 3),
+    ],
+)
+def test_broken_edges_match_the_polynomial_oracle(f, p, q, mult):
+    assert not _edge_is_binomial_power(f, p, q, mult)
+    _agrees_with_oracle(f, p, q, mult)
+
+
+def test_rational_binomial_edge_matches_the_polynomial_oracle():
+    f = Fraction(-5, 7) * (y**2 - Fraction(3, 4) * x) ** 3 + y + x - 1
+    assert _edge_is_binomial_power(f, 1, 2, 3)
+    got = _agrees_with_oracle(f, 1, 2, 3)
+    assert got.scale == Fraction(-5, 7) and got.coefficient == Fraction(3, 4)
+
+
+# ---------------------------------------------------------------------------
 # property tests
 
 exps = st.tuples(
@@ -158,3 +210,31 @@ def test_hull_is_strictly_convex(f):
             o, a, b = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
             cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
             assert cross > 0  # counterclockwise, no collinear triples
+
+
+@st.composite
+def perturbed_edges(draw):
+    # scale*(y^q - c*x^p)^mult, sometimes with one edge coefficient moved
+    # (maybe to zero), plus terms strictly below the edge
+    p, q = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]))
+    mult = draw(st.integers(1, 4))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    scale, c = draw(rationals), draw(rationals)
+    f = scale * (y**q - c * x**p) ** mult
+    k = draw(st.integers(0, mult))
+    if k not in (0, mult) and draw(st.booleans()):
+        f += draw(rationals) * x ** (k * p) * y ** ((mult - k) * q)
+    if q * mult > 1 and draw(st.booleans()):
+        f += draw(rationals) * y + draw(st.integers(-2, 2))
+    return f, p, q, mult
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_edges())
+def test_top_edge_matches_the_polynomial_oracle(case):
+    f, p, q, mult = case
+    if f.coeff((p, q * (mult - 1))) == 0:
+        assert analyze_top_edge(f).reason == "edge coefficient vanishes"
+    else:
+        _agrees_with_oracle(f, p, q, mult)
+

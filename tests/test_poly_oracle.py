@@ -3,7 +3,9 @@
 sympy is only a test dependency: it serves as an independent exact
 oracle for sums, differences, scalar and polynomial products, powers,
 ``substitute``, ``map_exponents``, ``partial``, ``jacobian_det``,
-``split_variable`` and the coefficient readers.  Every result must also
+``split_variable`` and the coefficient readers, with the plane shears
+that ``substitute`` expands by binomial rows checked on their own next
+to the near misses that must take its general path.  Every result must also
 be in normal form: integer numerators, none zero, over a positive
 denominator that shares no factor with all of them.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tamekit.maps import PolynomialMap, jacobian_det
-from tamekit.poly import Polynomial
+from tamekit.poly import Polynomial, _shear_of
 
 sympy = pytest.importorskip("sympy")
 
@@ -263,6 +265,65 @@ def test_substitute_short_images_matches_sympy(case):
 @example((Polynomial.zero(3), (Fraction(1, 2) * x, y, 1)))  # zero stays zero
 def test_substitute_matches_sympy(case):
     _check_substitute(*case)
+
+
+nonzero_scalars = scalars.filter(lambda r: r != 0)
+
+
+@st.composite
+def plane_shears(draw):
+    # (x + r*y^q, y) or (x, y + r*x^q); q = 0 is a translation
+    s, q, r = draw(st.integers(0, 1)), draw(st.integers(0, 4)), draw(nonzero_scalars)
+    images = [x, y]
+    images[s] = images[s] + r * images[1 - s] ** q
+    return tuple(images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(2, max_exp=5), plane_shears())
+@example(Polynomial.zero(2), (x + Fraction(2, 3) * y**2, y))
+@example(Fraction(1, 2) * x**3 * y - Fraction(1, 3) * y**2 + 1, (x, y - Fraction(3, 4) * x**2))
+@example(x**4 - Fraction(5, 6) * x * y, (x + Fraction(-7, 2), y))  # a translation
+@example(x**2 * y - y**3, (x, y + 2))  # terms merge: y^3 reappears from x^2*y
+@example(y**2 - 2 * x, (x + Fraction(1, 2) * y**2, y))  # the y^2 terms cancel
+def test_substitute_plane_shear_matches_sympy(f, images):
+    assert _shear_of(images) is not None
+    _check_substitute(f, images)
+
+
+@st.composite
+def near_shears(draw):
+    """A plane shear with one change that sends ``substitute`` down its
+    general path."""
+    s, q, r = draw(st.integers(0, 1)), draw(st.integers(0, 3)), draw(nonzero_scalars)
+    xs = [x, y]
+    kind = draw(st.sampled_from(["scale", "involves", "second", "arity"]))
+    if kind == "arity":
+        xs = [X, Y]
+    sheared, fixed = xs[s] + r * xs[1 - s] ** q, xs[1 - s]
+    if kind == "scale":  # x_s keeps a coefficient other than 1, or none
+        sheared += draw(st.sampled_from([-2, -1, 1, Fraction(1, 3)])) * xs[s]
+    elif kind == "involves":  # the addend holds the sheared variable
+        a, b = draw(st.sampled_from([(2, 0), (1, 1), (2, 1), (1, 2)]))
+        sheared += draw(nonzero_scalars) * xs[s] ** a * xs[1 - s] ** b
+    elif kind == "second":  # the other image is scaled or translated
+        k = draw(st.sampled_from([-1, 2, Fraction(1, 2)]))
+        fixed = k * fixed if draw(st.booleans()) else fixed + draw(nonzero_scalars)
+    images = [sheared, fixed] if s == 0 else [fixed, sheared]
+    return tuple(images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(2, max_exp=5), near_shears())
+@example(x**3 + y, (2 * x + y**2, y))  # scale 2 on the sheared variable
+@example(x**2 * y, (x + x * y, y))  # the addend involves x
+@example(x * y**2 - y, (x + y, 3 * y))  # the second image is scaled
+@example(Fraction(1, 2) * x * y, (x, y + x + 1))  # a two-term addend
+@example(x**2 - y**2, (x + y**2, y + 1))  # a translated second image
+@example(x * y + 1, (X + Y**2, Y))  # arity-3 images of a plane polynomial
+def test_substitute_near_shear_matches_sympy(f, images):
+    assert _shear_of(images) is None
+    _check_substitute(f, images)
 
 
 @settings(max_examples=60, deadline=None)
