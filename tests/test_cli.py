@@ -149,6 +149,21 @@ def test_decompose_not_graded_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_decompose_plane_with_exact_weights(capsys):
+    code, out, _ = run(capsys, "decompose", "(3*x + y^2, 2*y)", "--grading", "2,1", "--json")
+    assert code == 0
+    assert json.loads(out)["factors"] == ["(3*x, 2*y)", "(1/3*y^2 + x, y)"]
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [("7,2,3", "look like (a, b, -c)"), ("1", "expected 2 or 3 weights")],
+)
+def test_decompose_plane_refuses_bad_weights(capsys, weights, message):
+    code, _, err = run(capsys, "decompose", "(3*x + y^2, 2*y)", "--grading", weights)
+    assert code == 64 and message in err
+
+
 def test_decompose_identity(capsys):
     code, out, _ = run(capsys, "decompose", "(x, y)")
     assert code == 0 and "identity" in out
@@ -256,6 +271,11 @@ def test_certify_wild(capsys):
         capsys, "certify-wild", "(x + y^5*z, y, z)", "--grading", "7,2,-3"
     )
     assert code == 0 and "inconclusive" in out
+
+
+def test_certify_wild_needs_weights(capsys):
+    code, _, err = run(capsys, "certify-wild", "(x + y^2*z, y, z)")
+    assert code == 64 and "needs --grading" in err
 
 
 def test_witness_command(capsys):

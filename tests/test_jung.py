@@ -11,6 +11,7 @@ from tamekit.errors import (
     NotGradedPlane,
     OriginNotPreserved,
 )
+from tamekit import jung
 from tamekit.grading import Grading, ResidueGrading
 from tamekit.jung import (
     decompose_plane,
@@ -246,3 +247,26 @@ def test_jacobian_rejections_do_not_render_the_map(monkeypatch):
     assert not is_plane_automorphism(PolynomialMap((x + y**2, y + x**2)))
     with pytest.raises(NotAnAutomorphism):
         decompose_zero_cases(PolynomialMap((X + Y, X + Y, Z)), (1, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # second coordinate not linear in y once f is x
+        PolynomialMap((x + y**2, y + x**2)),
+        # first coordinate with a vertex off the axes
+        PolynomialMap((x * y + x + y, y)),
+        # first coordinate of degree 2 on one axis
+        PolynomialMap((x**2, y)),
+        # a vanishing coordinate
+        PolynomialMap((x, Polynomial.zero(2))),
+        # a top edge with both exponents above 1
+        PolynomialMap((y**2 - x**3, y)),
+    ],
+)
+def test_descent_rejects_behind_a_passing_jacobian(monkeypatch, m):
+    # the Jacobian precheck rejects each of these first; without it the
+    # descent's own shape checks have to
+    monkeypatch.setattr(jung, "constant_jacobian", lambda m: 1)
+    with pytest.raises(NotAnAutomorphism):
+        decompose_plane(m)

@@ -1,6 +1,7 @@
 """Newton polygons: hulls, areas, top-edge analysis."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,24 @@ def test_obstruction_both_exponents_exceed_one():
 def test_obstruction_line_off_axes():
     got = analyze_top_edge(x * y)
     assert isinstance(got, Obstruction)
+
+
+@pytest.mark.parametrize(
+    "f, reason",
+    [
+        (Polynomial.constant(2, 7), "constant polynomial"),
+        (x * y + 3 * x**2 * y**2 - 1, "support lies on a line off the axes"),
+        # one corner on an axis, the other off both
+        (x**2 + x * y**2, "polygon has a vertex off the axes"),
+        (y**3 + x**2 * y + 1, "polygon has a vertex off the axes"),
+        (x * y**2 + x**2 * y, "polygon has a vertex off the axes"),
+        # both axis corners, but a term beyond the line between them
+        (x + y + x * y, "polygon has a vertex off the axes"),
+        (x**2 + y**3 + x * y**2, "polygon has a vertex off the axes"),
+    ],
+)
+def test_obstruction_reasons(f, reason):
+    assert analyze_top_edge(f).reason == reason
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +257,55 @@ def test_top_edge_matches_the_polynomial_oracle(case):
     else:
         _agrees_with_oracle(f, p, q, mult)
 
+
+
+# ---------------------------------------------------------------------------
+# the top-edge reader against the hull-corner classification it replaced
+
+
+def _hull_oracle(f):
+    """Classify f by the corners of its Newton polygon, then test the top
+    edge by the polynomial construction above."""
+    hull = newton_polygon(f)
+    if len(hull) == 1:
+        return Obstruction("constant polynomial")
+    if len(hull) == 2:
+        far = hull[1]  # hull[0] is the origin, the lexicographic minimum
+        if far[1] == 0:
+            return AxisSegment(0, far[0])
+        if far[0] == 0:
+            return AxisSegment(1, far[1])
+        return Obstruction("support lies on a line off the axes")
+    on_x = [v for v in hull if v[0] and not v[1]]
+    on_y = [v for v in hull if v[1] and not v[0]]
+    if len(hull) != 3 or len(on_x) != 1 or len(on_y) != 1:
+        return Obstruction("polygon has a vertex off the axes")
+    big_p, big_q = on_x[0][0], on_y[0][1]
+    mult = gcd(big_p, big_q)
+    p, q = big_p // mult, big_q // mult
+    t = f.coeff((p, q * (mult - 1)))
+    if t == 0:
+        return Obstruction("edge coefficient vanishes")
+    if not _edge_is_binomial_power(f, p, q, mult):
+        return Obstruction("top edge is not a power of one binomial")
+    if p > 1 and q > 1:
+        return Obstruction("neither edge exponent is 1")
+    scale = f.coeff((0, big_q))
+    return BinomialEdge(p, q, mult, scale, -Fraction(t) / (mult * scale))
+
+
+def _record(result):
+    return type(result), tuple(getattr(result, name) for name in type(result).__slots__)
+
+
+# both axis corners present, the rest anywhere: triangles and near misses
+cornered = st.tuples(st.integers(1, 6), st.integers(1, 6), polys).map(
+    lambda t: t[2] + x ** t[0] + y ** t[1]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(polys, cornered, perturbed_edges().map(lambda case: case[0])))
+def test_top_edge_matches_the_hull_oracle(f):
+    if not f.is_zero():
+        assert _record(analyze_top_edge(f)) == _record(_hull_oracle(f))
