@@ -1,10 +1,11 @@
 """Decomposition of plane automorphisms into affine and elementary factors.
 
-The engine runs a Newton-polygon descent on the first coordinate: as
-long as the polygon has positive area, the top edge of an automorphism
-coordinate is a scaled binomial power and composing with the matching
-shear strictly shrinks the area.  When the area reaches zero the first
-coordinate is linear in a single variable and the map splits into an
+The engine runs a Newton-polygon descent on the first coordinate f.
+Each step reads the shape of f once with analyze_top_edge: while the
+polygon is a right triangle, the top edge of an automorphism coordinate
+is a scaled binomial power and composing with the matching shear
+strictly shrinks the polygon's area.  When f lies on one axis with
+degree 1 it is linear in a single variable, and the map splits into an
 affine factor and at most one elementary factor (plus a swap when the
 surviving variable is y).
 
@@ -31,7 +32,7 @@ from .maps import (
     identity_map,
     plane_swap,
 )
-from .newton import Obstruction, analyze_top_edge, newton_area
+from .newton import AxisSegment, Obstruction, analyze_top_edge, newton_area
 from .poly import Polynomial, _div
 
 _X, _Y = Polynomial.variables(2)
@@ -57,40 +58,23 @@ def _shear_for_edge(edge):
     return psi, psi_inv, "mirrored"
 
 
-def _axis_linear(f):
-    """(axis, scale, shift) when f = scale * variable + shift, else None."""
-    for axis, unit in enumerate(((1, 0), (0, 1))):
-        if unit in f._num and f._num.keys() <= {unit, (0, 0)}:
-            return axis, f.coeff(unit), f.constant_term()
-    return None
-
-
-def _base_factors(current):
-    """Split a map whose first coordinate is axis-linear."""
-    f, g = current.coords
-    shape = _axis_linear(f)
-    if shape is None:
-        raise NotAnAutomorphism(
-            f"first coordinate {f} degenerated without becoming linear"
-        )
-    axis, scale, shift = shape
-    swapped = False
+def _base_factors(current, axis):
+    """Split a map whose first coordinate is scale * (x or y) + shift."""
     if axis == 1:
         # precompose with the swap of x and y: only exponents move
         swap = lambda e: (e[1], e[0])
         current = PolynomialMap(tuple(c.map_exponents(2, swap) for c in current.coords))
-        f, g = current.coords
-        swapped = True
+    f, g = current.coords
     mu, w = g.split_variable(1)
     if mu == 0 or w.involves(1):
         raise NotAnAutomorphism(
             f"second coordinate {g} is not linear in y over K[x]"
         )
-    aff = PolynomialMap((scale * _X + shift, mu * _Y))
+    aff = PolynomialMap((f, mu * _Y))
     elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
     ident = identity_map(2)
     factors = [fac for fac in (aff, elem) if fac != ident]
-    if swapped:
+    if axis == 1:
         factors.append(plane_swap())
     return factors, [""] * len(factors)
 
@@ -115,17 +99,18 @@ def _descend(m, trace):
         if prev_area is not None and area >= prev_area:
             raise NotAnAutomorphism("Newton polygon area failed to shrink")
         prev_area = area
-        if area == 0:
-            break
         edge = analyze_top_edge(f)
+        if isinstance(edge, AxisSegment):
+            if edge.degree == 1:
+                break
+            edge = Obstruction(f"degree {edge.degree} in one variable")
         if isinstance(edge, Obstruction):
             raise NotAnAutomorphism(f"first coordinate rules the map out: {edge.reason}")
-        # a polygon of positive area is no axis segment: edge is a BinomialEdge
         psi, psi_inv, note = _shear_for_edge(edge)
         current = compose(current, psi)
         suffix.insert(0, psi_inv)
         suffix_notes.insert(0, note)
-    base, base_notes = _base_factors(current)
+    base, base_notes = _base_factors(current, edge.axis)
     return base + suffix, base_notes + suffix_notes
 
 

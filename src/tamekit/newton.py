@@ -1,15 +1,17 @@
 """Newton polygons of plane polynomials and top-edge analysis.
 
 The polygon of f is the convex hull of its exponent support together
-with the origin.  For a coordinate of a plane automorphism this hull is
-a (possibly degenerate) right triangle with legs on the axes and a top
-edge whose terms form a scaled power of a binomial; analyze_top_edge
-extracts that structure or reports the obstruction that rules the
-polynomial out.
+with the origin; newton_polygon builds it and newton_area measures it.
+For a coordinate of a plane automorphism the polygon is a (possibly
+degenerate) right triangle with legs on the axes and a top edge whose
+terms form a scaled power of a binomial.  analyze_top_edge reads that
+shape off the support without building the hull, and extracts the edge
+or reports the obstruction that rules the polynomial out.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -21,19 +23,23 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def newton_polygon(f):
-    """Hull vertices, counterclockwise from the lexicographic minimum.
-
-    Collinear points are dropped, so every returned point is a strict
-    vertex.  The origin is always included in the point set.
-    """
+def _plane_support(f):
     if f.arity != 2:
         raise ArityMismatch(
             f"Newton polygons are for plane polynomials, got arity {f.arity}"
         )
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no Newton polygon")
-    pts = sorted(set(f._num) | {(0, 0)})
+    return f._num
+
+
+def newton_polygon(f):
+    """Hull vertices, counterclockwise from the lexicographic minimum.
+
+    Collinear points are dropped, so every returned point is a strict
+    vertex.  The origin is always included in the point set.
+    """
+    pts = sorted(set(_plane_support(f)) | {(0, 0)})
     if len(pts) == 1:
         return (pts[0],)
     lower = []
@@ -69,6 +75,7 @@ def newton_area(f):
 # ---------------------------------------------------------------------------
 # top-edge analysis
 
+@dataclass(frozen=True, slots=True)
 class AxisSegment:
     """Degenerate polygon: support lies on one axis.
 
@@ -76,85 +83,60 @@ class AxisSegment:
     alone), axis 1 the y-axis.  degree is the far endpoint.
     """
 
-    __slots__ = ("axis", "degree")
-
-    def __init__(self, axis, degree):
-        self.axis = axis
-        self.degree = degree
-
-    def __repr__(self):
-        return f"AxisSegment(axis={self.axis}, degree={self.degree})"
+    axis: int
+    degree: int
 
 
+@dataclass(frozen=True, slots=True)
 class BinomialEdge:
     """Top edge from (p*multiplicity, 0) to (0, q*multiplicity) whose
     terms are scale * (y^q - coefficient * x^p)^multiplicity."""
 
-    __slots__ = ("p", "q", "multiplicity", "scale", "coefficient")
-
-    def __init__(self, p, q, multiplicity, scale, coefficient):
-        self.p = p
-        self.q = q
-        self.multiplicity = multiplicity
-        self.scale = scale
-        self.coefficient = coefficient
-
-    def __repr__(self):
-        return (
-            f"BinomialEdge(p={self.p}, q={self.q}, "
-            f"multiplicity={self.multiplicity}, scale={self.scale}, "
-            f"coefficient={self.coefficient})"
-        )
+    p: int
+    q: int
+    multiplicity: int
+    scale: object
+    coefficient: object
 
 
+@dataclass(frozen=True, slots=True)
 class Obstruction:
     """Why the polynomial cannot be a plane automorphism coordinate."""
 
-    __slots__ = ("reason",)
-
-    def __init__(self, reason):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"Obstruction({self.reason!r})"
+    reason: str
 
 
 def analyze_top_edge(f):
-    """Classify the top edge of f's Newton polygon.
+    """Classify the top edge of f's Newton polygon from its support.
 
-    Returns AxisSegment for degenerate polygons on an axis, BinomialEdge
-    when the polygon is the right triangle of a plausible automorphism
-    coordinate, and Obstruction otherwise.
+    With P the largest power of x alone and Q that of y alone, the
+    polygon is the right triangle (0, 0), (P, 0), (0, Q) exactly when
+    P, Q > 0 and every exponent (i, j) has Q*i + P*j <= P*Q.  Its top
+    edge gives a BinomialEdge when it is a scaled binomial power with an
+    exponent 1.  A support on one axis gives an AxisSegment; everything
+    else an Obstruction.
     """
-    hull = newton_polygon(f)
-    if len(hull) == 1:
-        return Obstruction("constant polynomial")
-    if len(hull) == 2:
-        far = hull[1] if hull[0] == (0, 0) else hull[0]
-        if far[1] == 0:
-            return AxisSegment(0, far[0])
-        if far[0] == 0:
-            return AxisSegment(1, far[1])
-        return Obstruction("support lies on a line off the axes")
-    if len(hull) != 3:
+    num = _plane_support(f)
+    big_p = max((i for i, j in num if not j), default=0)
+    big_q = max((j for i, j in num if not i), default=0)
+    off = [e for e in num if e[0] and e[1]]
+    if not (big_p and big_q):
+        if not off:
+            if big_q:
+                return AxisSegment(1, big_q)
+            return AxisSegment(0, big_p) if big_p else Obstruction("constant polynomial")
+        i0, j0 = off[0]
+        if not (big_p or big_q) and all(i * j0 == j * i0 for i, j in off):
+            return Obstruction("support lies on a line off the axes")
         return Obstruction("polygon has a vertex off the axes")
-    corners = set(hull)
-    if (0, 0) not in corners:
+    if any(big_q * i + big_p * j > big_p * big_q for i, j in off):
         return Obstruction("polygon has a vertex off the axes")
-    corners.discard((0, 0))
-    on_x = [v for v in corners if v[1] == 0]
-    on_y = [v for v in corners if v[0] == 0]
-    if len(on_x) != 1 or len(on_y) != 1:
-        return Obstruction("polygon has a vertex off the axes")
-    big_p = on_x[0][0]
-    big_q = on_y[0][1]
     mult = gcd(big_p, big_q)
     p = big_p // mult
     q = big_q // mult
     # the edge q*i + p*j = q*big_p holds just the points (k*p, (mult - k)*q);
     # with numerators s at k = 0 and t at k = 1, scale*(y^q - c*x^p)^mult
     # has c = -t/(mult*s) and k-th numerator C(mult, k)*t^k/(mult^k*s^(k-1))
-    num = f._num
     s = num[(0, big_q)]
     t = num.get((p, q * (mult - 1)), 0)
     if not t:
