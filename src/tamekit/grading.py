@@ -22,7 +22,6 @@ from operator import mul
 from .errors import (
     ArityMismatch,
     GcdPrecondition,
-    MoreThanOneMixedSignPattern,
     NotHomogeneous,
     ZeroPolynomial,
 )
@@ -190,9 +189,6 @@ class NormalizedGrading:
     def to_original(self, m):
         return _permuted(m, tuple(self.permutation.index(i) for i in range(3)))
 
-    def grading(self):
-        return Grading(self.weights)
-
     def _key(self):
         return (
             self.original, self.weights, self.permutation, self.flipped, self.divisor
@@ -237,15 +233,13 @@ def normalize_weights(weights):
     neg_idx = [i for i, w in enumerate(scaled) if w < 0]
     if not neg_idx:
         perm = tuple(sorted(range(3), key=lambda i: (-scaled[i], i)))
-    elif len(neg_idx) == 1:
+    else:
+        # after the flip at most one weight is negative
         k = neg_idx[0]
         others = [i for i in range(3) if i != k]
         if scaled[others[0]] < scaled[others[1]]:
             others.reverse()
         perm = (others[0], others[1], k)
-    else:
-        # cannot happen after the flip; kept as a hard guard
-        raise MoreThanOneMixedSignPattern(f"unexpected sign pattern {scaled}")
     norm = tuple(scaled[p] for p in perm)
     return NormalizedGrading(original, norm, perm, flipped, divisor)
 

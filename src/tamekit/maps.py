@@ -13,6 +13,7 @@ and the decomposition routines.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -255,21 +256,13 @@ class MapClass(enum.Enum):
     GENERAL = "general"
 
 
+@dataclass(frozen=True, slots=True)
 class ElementaryDetail:
     """Which coordinate an elementary map rewrites, and how."""
 
-    __slots__ = ("index", "scale", "addend")
-
-    def __init__(self, index, scale, addend):
-        self.index = index
-        self.scale = scale
-        self.addend = addend
-
-    def __repr__(self):
-        return (
-            f"ElementaryDetail(index={self.index}, scale={self.scale}, "
-            f"addend={self.addend.render()!r})"
-        )
+    index: int
+    scale: object
+    addend: Polynomial
 
 
 def elementary_detail(m):

@@ -242,9 +242,6 @@ class Polynomial:
             )
         return _scalar(self._num.get(exps, 0), self._den)
 
-    def support(self):
-        return tuple(self._num)
-
     def total_degree(self):
         if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")
@@ -337,7 +334,7 @@ class Polynomial:
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative int, got {exponent!r}")
+            raise ArityMismatch(f"exponent must be a non-negative int, got {exponent!r}")
         base = self._num
         if 1 <= len(base) <= 2:
             return Polynomial._raw(

@@ -58,6 +58,7 @@ from .errors import (
 )
 from .grading import (
     Grading,
+    _check_weights,
     l_hat,
     normalize_weights,
     plane_residue_grading,
@@ -355,7 +356,7 @@ def lift_plane_map(pm, weights):
     No assert guards the power of z: the NotGradedPlane check makes it
     an integer and the two obstruction scans make it non-negative.
     """
-    a, b, c = _mixed_abc(tuple(weights), WrongShape)
+    a, b, c = _mixed_abc(_check_weights(weights), WrongShape)
     if pm.arity != 2:
         raise ArityMismatch(f"need a plane map, got arity {pm.arity}")
     rg = plane_residue_grading(a, b, c)
@@ -927,7 +928,7 @@ def rewrite_liftable_chain(chain, weights):
     triangular, which holds automatically for restrictions of graded
     three-variable maps.
     """
-    a, b, c = _mixed_abc(tuple(weights), WrongShape)
+    a, b, c = _mixed_abc(_check_weights(weights), WrongShape)
     qh = q_hat(a, b, c)
     if qh != 1:
         raise QHatNotOne(f"rewrite applies when the threshold exponent is 1, got {qh}")

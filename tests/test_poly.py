@@ -49,6 +49,13 @@ def test_pow_zero_is_one():
     assert (y**2 - x) ** 0 == Polynomial.constant(2, 1)
 
 
+@pytest.mark.parametrize("exponent", [-1, 2.0])
+def test_pow_refuses_a_negative_or_non_int_exponent(exponent):
+    # the same typed error the constructor raises for a negative exponent
+    with pytest.raises(ArityMismatch):
+        x**exponent
+
+
 def test_scalar_arithmetic():
     assert 2 * x + 1 - x == x + 1
     assert Fraction(1, 2) * (2 * x) == x

@@ -249,6 +249,9 @@ def test_lift_rejections():
         lift_plane_map(PolynomialMap((u + v, v)), (7, 2, -3))
     with pytest.raises(ArityMismatch):
         lift_plane_map(identity_map(3), (7, 2, -3))
+    # ints are checked before any gcd, which raises a bare TypeError on floats
+    with pytest.raises(ArityMismatch):
+        lift_plane_map(identity_map(2), (7.0, 2.0, -3.0))
 
 
 def test_lift_shear_threshold():
@@ -804,6 +807,8 @@ def test_rewrite_rejections():
         rewrite_liftable_chain(ident, (2, 1, -2))
     with pytest.raises(WrongShape):
         rewrite_liftable_chain(ident, (1, 2, -3))
+    with pytest.raises(ArityMismatch):
+        rewrite_liftable_chain(ident, (7.0, 2.0, -3.0))
     # v^2 has residue 1 mod 3, the target residue is 2
     shear = PolynomialMap((u + v**2, v))
     with pytest.raises(NotGradedChain):
