@@ -27,7 +27,6 @@ import traceback
 from .errors import (
     CertifiedWildMap,
     InvariantViolation,
-    LiftFailure,
     NotAnAutomorphism,
     NotGraded,
     NotLiftable,
@@ -586,7 +585,7 @@ def _build_parser():
 _EXIT_CODES = (
     (NotAnAutomorphism, 1),
     (NotGraded, 2),
-    ((NotLiftable, LiftFailure), 3),
+    (NotLiftable, 3),
     (CertifiedWildMap, 4),
     (WildAdmittingUndecided, 5),
 )

@@ -82,7 +82,7 @@ class InvariantViolation(TamekitError):
     """A result failed tamekit's own final check: a bug, not an input verdict."""
 
 
-class LiftFailure(TamekitError):
+class LiftFailure(InvariantViolation):
     """Internal lift invariant violated; indicates a bug upstream."""
 
 

@@ -16,6 +16,7 @@ coordinates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -164,6 +165,7 @@ def _permuted(m, perm):
     return PolynomialMap(tuple(m.coords[p].map_exponents(3, move) for p in perm))
 
 
+@dataclass(frozen=True, slots=True)
 class NormalizedGrading:
     """Result of normalize_weights: the canonical weights plus the
     bookkeeping (permutation, sign flip, common divisor) needed to
@@ -173,14 +175,11 @@ class NormalizedGrading:
     sign is -1 when ``flipped`` else 1.
     """
 
-    __slots__ = ("original", "weights", "permutation", "flipped", "divisor")
-
-    def __init__(self, original, weights, permutation, flipped, divisor):
-        self.original = tuple(original)
-        self.weights = tuple(weights)
-        self.permutation = tuple(permutation)
-        self.flipped = flipped
-        self.divisor = divisor
+    original: tuple
+    weights: tuple
+    permutation: tuple
+    flipped: bool
+    divisor: int
 
     def to_normalized(self, m):
         """Conjugate a map on the original variables into normalized ones."""
@@ -188,26 +187,6 @@ class NormalizedGrading:
 
     def to_original(self, m):
         return _permuted(m, tuple(self.permutation.index(i) for i in range(3)))
-
-    def _key(self):
-        return (
-            self.original, self.weights, self.permutation, self.flipped, self.divisor
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalizedGrading):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"NormalizedGrading(original={self.original}, weights={self.weights}, "
-            f"permutation={self.permutation}, flipped={self.flipped}, "
-            f"divisor={self.divisor})"
-        )
 
 
 def normalize_weights(weights):

@@ -9,17 +9,25 @@ degree 1 it is linear in a single variable, and the map splits into an
 affine factor and at most one elementary factor (plus a swap when the
 surviving variable is y).
 
-Maps that fail any of the shape facts automorphisms must satisfy raise
-NotAnAutomorphism, so running to completion doubles as a membership
-test.  The origin-preserving and graded variants check their input and
-run the same descent; their extra factor properties then hold
-automatically, for the reasons given in their docstrings.
+Running to completion is a membership test.  If the descent finishes,
+m is the exact composite of its factors, each an automorphism, which
+FactorChain checks; so m is an automorphism.  An automorphism always
+finishes, because every shape fact the descent checks holds for one
+(Jung-van der Kulk).  And the descent terminates, because the area is
+a non-negative half-integer that falls at every step (see _descend).
+So a map that fails a shape fact raises NotAnAutomorphism.  The
+constant-Jacobian precheck in front rejects most non-automorphisms
+before any shear is composed.  The origin-preserving and graded
+variants check their input and run the same descent; their extra
+factor properties then hold automatically, for the reasons given in
+their docstrings.
 """
 
 from __future__ import annotations
 
 from .errors import (
     ArityMismatch,
+    InvariantViolation,
     NotAnAutomorphism,
     NotGradedPlane,
     OriginNotPreserved,
@@ -80,7 +88,22 @@ def _base_factors(current, axis):
 
 
 def _descend(m, trace):
-    """The factors of m and one note each, found by polygon descent."""
+    """The factors of m and one note each, found by polygon descent.
+
+    Each step is decided by analyze_top_edge alone.  A BinomialEdge
+    scale*(y^q - c*x^p)^k spans the triangle (0, 0), (P, 0), (0, Q) with
+    P = p*k and Q = q*k, so twice its area is P*Q.  The shear for the
+    edge is homogeneous for the weights that make the edge a level line,
+    so it keeps every term below the edge below it and turns the edge's
+    terms into one endpoint monomial: scale*(-c*x)^k or scale*y^k.  The
+    new polygon then lies in the closed triangle, meets its edge in one
+    endpoint only and so misses the other vertex: its area, a
+    non-negative half-integer, is strictly smaller.  A failed shrink
+    test is therefore a bug (InvariantViolation), never a verdict.
+
+    ``trace``, if given, gets the current map and its newton_area once
+    per step, before the step is read.
+    """
     if constant_jacobian(m) is None:
         raise NotAnAutomorphism(
             "the map does not have a nonzero constant Jacobian determinant"
@@ -88,17 +111,13 @@ def _descend(m, trace):
     current = m
     suffix = []
     suffix_notes = []
-    prev_area = None
+    prev_twice_area = None
     while True:
         f = current.coords[0]
         if f.is_zero() or current.coords[1].is_zero():
             raise NotAnAutomorphism("a coordinate vanished")
-        area = newton_area(f)
         if trace is not None:
-            trace(current, area)
-        if prev_area is not None and area >= prev_area:
-            raise NotAnAutomorphism("Newton polygon area failed to shrink")
-        prev_area = area
+            trace(current, newton_area(f))
         edge = analyze_top_edge(f)
         if isinstance(edge, AxisSegment):
             if edge.degree == 1:
@@ -106,6 +125,10 @@ def _descend(m, trace):
             edge = Obstruction(f"degree {edge.degree} in one variable")
         if isinstance(edge, Obstruction):
             raise NotAnAutomorphism(f"first coordinate rules the map out: {edge.reason}")
+        twice_area = edge.p * edge.q * edge.multiplicity**2
+        if prev_twice_area is not None and twice_area >= prev_twice_area:
+            raise InvariantViolation("Newton polygon area failed to shrink")
+        prev_twice_area = twice_area
         psi, psi_inv, note = _shear_for_edge(edge)
         current = compose(current, psi)
         suffix.insert(0, psi_inv)
@@ -120,7 +143,7 @@ def decompose_plane(m, trace=None):
     The returned FactorChain recomposes to m exactly (checked at
     construction; a failure is an InvariantViolation).  ``trace``, if
     given, is called with the current map and its polygon area once per
-    descent step.
+    descent step; only then is the polygon's hull built.
     """
     _check_plane(m)
     factors, notes = _descend(m, trace)

@@ -13,21 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, UnknownName
 from .maps import PolynomialMap, identity_map
-from .poly import Polynomial
-
-_X, _Y, _Z = Polynomial.variables(3)
-
-
-def nagata_pair():
-    """Nagata's automorphism and its inverse.
-
-    The quadric w = x^2 - y*z is fixed, which is what makes the
-    explicit inverse this short.
-    """
-    w = _X * _X - _Y * _Z
-    nagata = PolynomialMap((_X + w * _Z, _Y + 2 * w * _X + w * w * _Z, _Z))
-    inverse = PolynomialMap((_X - w * _Z, _Y - 2 * w * _X + w * w * _Z, _Z))
-    return nagata, inverse
+from .space import nagata_pair, wild_witness
 
 
 @dataclass(frozen=True)
@@ -86,8 +72,6 @@ def get_example(name):
         return builder()
     match = _WITNESS_PATTERN.match(key)
     if match is not None:
-        from .space import wild_witness  # deferred: space builds on this module too
-
         a, b, c = (int(s) for s in match.groups())
         witness = wild_witness((a, b, -c))
         if not witness.verify():

@@ -1,12 +1,13 @@
 """Newton polygons of plane polynomials and top-edge analysis.
 
 The polygon of f is the convex hull of its exponent support together
-with the origin; newton_polygon builds it and newton_area measures it.
-For a coordinate of a plane automorphism the polygon is a (possibly
-degenerate) right triangle with legs on the axes and a top edge whose
-terms form a scaled power of a binomial.  analyze_top_edge reads that
-shape off the support without building the hull, and extracts the edge
-or reports the obstruction that rules the polynomial out.
+with the origin; newton_polygon builds it and newton_area measures it,
+for traces and the CLI.  For a coordinate of a plane automorphism the
+polygon is a (possibly degenerate) right triangle with legs on the axes
+and a top edge whose terms form a scaled power of a binomial.
+analyze_top_edge reads that shape off the support without building the
+hull, and extracts the edge or reports the obstruction that rules the
+polynomial out; it alone decides each step of the plane descent.
 """
 
 from __future__ import annotations

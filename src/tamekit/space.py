@@ -64,7 +64,7 @@ from .grading import (
     plane_residue_grading,
     q_hat,
 )
-from .jung import _descend, decompose_plane
+from .jung import _descend
 from .maps import (
     FactorChain,
     MapClass,
@@ -168,8 +168,6 @@ def classify_grading(weights):
     argument applies.
     """
     w = tuple(weights)
-    if len(w) != 3:
-        raise ArityMismatch(f"need three weights, got {len(w)}")
     norm = normalize_weights(w)
     nw = norm.weights
     base = dict(weights=w, normalized=norm)
@@ -541,6 +539,18 @@ def _conjugated_shear(qh, lh, sign):
     return PolynomialMap((Polynomial._raw(2, first), Polynomial._raw(2, second)))
 
 
+def nagata_pair():
+    """Nagata's automorphism and its inverse.
+
+    The quadric w = x^2 - y*z is fixed, which is what makes the
+    explicit inverse this short.
+    """
+    w = _X * _X - _Y * _Z
+    nagata = PolynomialMap((_X + w * _Z, _Y + 2 * w * _X + w * w * _Z, _Z))
+    inverse = PolynomialMap((_X - w * _Z, _Y - 2 * w * _X + w * w * _Z, _Z))
+    return nagata, inverse
+
+
 def wild_witness(weights):
     """Build an explicit graded-wild automorphism for admitting weights.
 
@@ -568,8 +578,6 @@ def wild_witness(weights):
             f"({cls.reason.value})"
         )
     if cls.reason is GradingReason.TRIVIAL_GRADING:
-        from .named import nagata_pair  # deferred: named builds on this module
-
         nag, nag_inv = nagata_pair()
         return WildWitness(
             weights=cls.weights,
@@ -807,13 +815,15 @@ def _zero_single(mm):
     Gradedness leaves x*f(y, z) and two coordinates of weight zero, free
     of x.  The Jacobian determinant is f times the plane Jacobian of the
     last two, so the constant Jacobian test of decompose_zero_cases has
-    already made f a nonzero scalar.
+    already made f a nonzero scalar.  Embedding (y, z) is injective and
+    respects composition, so the caller's final chain check covers the
+    plane recomposition.
     """
     drop_x = lambda e: e[1:]
     embed = lambda e: (0, *e)
     pm = PolynomialMap((c.map_exponents(2, drop_x) for c in mm.coords[1:]))
     factors = [PolynomialMap((mm.coords[0].coeff((1, 0, 0)) * _X, _Y, _Z))]
-    for f in decompose_plane(pm).factors:
+    for f in _descend(pm, None)[0]:
         embedded = (c.map_exponents(3, embed) for c in f.coords)
         factors.append(PolynomialMap((_X, *embedded)))
     return factors

@@ -8,7 +8,7 @@ import pytest
 from tamekit import cli
 from tamekit.cli import main
 from tamekit.errors import InvariantViolation
-from tamekit.maps import PolynomialMap, verify_inverse_pair
+from tamekit.maps import PolynomialMap, compose_chain, verify_inverse_pair
 from tamekit.parsing import parse_map
 from tamekit.poly import Polynomial
 from tamekit.space import wild_witness
@@ -121,8 +121,6 @@ def test_decompose_plane(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     factors = [parse_map(line.split("#")[0].strip()) for line in lines]
-    from tamekit.maps import compose_chain
-
     assert compose_chain(factors) == parse_map("(x + (y + x^2)^2, y + x^2)")
 
 

@@ -1,0 +1,84 @@
+"""The exact error class of each input check on the core types.
+
+One row per check: a call that fails it, and the class it must raise.
+The calls hit maps, gradings, the plane descent's arity check, the
+Polynomial constructor and accessors, and the parser, so that moving a
+check or changing its class cannot go unnoticed.
+"""
+
+import pytest
+
+from tamekit import (
+    ArityMismatch,
+    FactorChain,
+    MapDocument,
+    ParseError,
+    Polynomial,
+    PolynomialMap,
+    ResidueGrading,
+    WrongShape,
+    ZeroPolynomial,
+    decompose_plane,
+    identity_map,
+    parse_polynomial,
+)
+from tamekit.grading import _check_weights
+from tamekit.maps import map_from_matrix, matrix_product, perm_map
+
+u, v = Polynomial.variables(2)
+x, y, z = Polynomial.variables(3)
+ZERO = Polynomial.zero(2)
+
+CASES = [
+    # maps
+    ("map without coordinates", lambda: PolynomialMap(()), ArityMismatch),
+    ("coordinate not a polynomial", lambda: PolynomialMap((u, "v")), ArityMismatch),
+    ("coordinates of two arities", lambda: PolynomialMap((u, z)), ArityMismatch),
+    ("not a permutation", lambda: perm_map((0, 0)), WrongShape),
+    ("matrix dimensions", lambda: matrix_product([[1, 2]], [[1, 2]]), ArityMismatch),
+    ("matrix not square", lambda: map_from_matrix([[1, 2], [3]]), ArityMismatch),
+    (
+        "note count",
+        lambda: FactorChain(identity_map(2), [identity_map(2)], ["a", "b"]),
+        WrongShape,
+    ),
+    # gradings and the plane descent
+    ("no weights", lambda: _check_weights(()), ArityMismatch),
+    ("zero modulus", lambda: ResidueGrading((1, 2), 0), ArityMismatch),
+    ("plane descent on arity 3", lambda: decompose_plane(identity_map(3)), ArityMismatch),
+    # Polynomial validation
+    ("arity zero", lambda: Polynomial(0), ArityMismatch),
+    ("exponent tuple length", lambda: Polynomial(2, {(1,): 1}), ArityMismatch),
+    ("negative exponent", lambda: Polynomial(2, {(1, -1): 1}), ArityMismatch),
+    ("variable index", lambda: Polynomial.variable(2, 2), ArityMismatch),
+    ("coeff tuple length", lambda: u.coeff((1,)), ArityMismatch),
+    ("min degree of zero", lambda: ZERO.min_total_degree(), ZeroPolynomial),
+    ("degree_in of zero", lambda: ZERO.degree_in(0), ZeroPolynomial),
+    ("degree_in index", lambda: u.degree_in(2), ArityMismatch),
+    ("split_variable index", lambda: u.split_variable(2), ArityMismatch),
+    ("partial index", lambda: u.partial(2), ArityMismatch),
+    ("image count", lambda: u.substitute((u,)), ArityMismatch),
+    ("images of two arities", lambda: u.substitute((x, v)), ArityMismatch),
+    ("no default names", lambda: Polynomial.variable(4, 0).render(), ArityMismatch),
+    ("name count", lambda: u.render(("a",)), ArityMismatch),
+    # parsing
+    ("mixed variable names", lambda: parse_polynomial("x + u"), ParseError),
+    ("text after expression", lambda: parse_polynomial("x )"), ParseError),
+    ("division by a non-literal", lambda: parse_polynomial("1/x"), ParseError),
+    (
+        "empty document coordinate",
+        lambda: MapDocument.from_json('{"vars": ["x", "y"], "coords": ["", "y"]}').to_map(),
+        ParseError,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES],
+)
+def test_check_raises_its_class(call, expected):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is expected
