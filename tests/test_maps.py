@@ -151,6 +151,15 @@ def test_factor_chain_empty_means_identity():
     assert len(chain) == 0
 
 
+def test_scalar_coordinate_becomes_a_constant():
+    assert PolynomialMap((1, x)).coords == (Polynomial.constant(2, 1), x)
+
+
+def test_invert_factor_returns_the_identity_itself():
+    ident = identity_map(2)
+    assert invert_factor(ident) is ident
+
+
 def test_arity_guard():
     with pytest.raises(ArityMismatch):
         compose(identity_map(2), identity_map(3))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tamekit.errors import NotWildAdmitting, UnknownName
+from tamekit.errors import InvariantViolation, NotWildAdmitting, UnknownName
 from tamekit.maps import (
     PolynomialMap,
     constant_jacobian,
@@ -11,7 +11,7 @@ from tamekit.maps import (
 )
 from tamekit.named import example_names, get_example, nagata_pair
 from tamekit.poly import Polynomial
-from tamekit.space import wild_witness
+from tamekit.space import WildWitness, wild_witness
 
 x, y, z = Polynomial.variables(3)
 
@@ -58,6 +58,12 @@ def test_witness_examples():
     assert "degree 3" in ex.notes
     ex = get_example("witness( 3 , 1 , 1 )")
     assert ex.map == wild_witness((3, 1, -1)).map
+
+
+def test_witness_example_refuses_a_witness_that_fails_verify(monkeypatch):
+    monkeypatch.setattr(WildWitness, "verify", lambda self: False)
+    with pytest.raises(InvariantViolation):
+        get_example("witness(7,2,3)")
 
 
 def test_witness_example_refuses_tame_weights():

@@ -1,6 +1,8 @@
 """Three-variable graded toolkit: classification, witnesses, decomposition."""
 
 import dataclasses
+import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamekit
+from tamekit import space
 from tamekit.errors import (
     ArityMismatch,
     CertifiedWildMap,
     GcdPrecondition,
+    InvariantViolation,
     LastVariableNotFixed,
     NotAnAutomorphism,
     NotGraded,
@@ -160,6 +164,31 @@ def test_classification_matches_direct_search():
                     for p in range(1, (a - q * b) // c + 1)
                 )
                 assert cls.admits_wild == expected, (a, b, c)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_classification_fields_pinned():
+    # every field of every record for the triples with entries in -6..6
+    lines = []
+    for w in itertools.product(range(-6, 7), repeat=3):
+        cls = classify_grading(w)
+        fields = (f"{f.name}={getattr(cls, f.name)!r}" for f in dataclasses.fields(cls))
+        lines.append("; ".join(fields))
+    assert len(lines) == 13**3
+    assert _digest(lines) == CLASSIFICATION_DIGEST
+
+
+CLASSIFICATION_DIGEST = "7bb20893ea92d169df2574ae092105130e55ca99706b3937ad626816bb442eb3"
+
+
+def test_graded_chain_rejects_an_ungraded_factor():
+    # the two translations recompose to the identity, but x has weight 1
+    factors = [PolynomialMap((x + 1, y, z)), PolynomialMap((x - 1, y, z))]
+    with pytest.raises(InvariantViolation):
+        space._graded_chain(identity_map(3), factors, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +409,25 @@ from tamekit.space import wild_witness
 wit = wild_witness((7, 2, -3))
 print(wit.verify(), dataclasses.replace(wit, inverse=identity_map(3)).verify())
 """
+
+
+def test_witness_with_ungraded_map_fails_verify():
+    wit = wild_witness((7, 2, -3))
+    assert dataclasses.replace(wit, map=PolynomialMap((x + 1, y, z))).verify() is False
+
+
+def test_witness_fails_verify_when_rederived_certificate_fails(monkeypatch):
+    wit = wild_witness((7, 2, -3))
+    silent = WildnessCertificate(False, wit.weights, wit.q_hat, 5, 1)
+    monkeypatch.setattr(space, "wildness_certificate", lambda m, w: silent)
+    assert wit.verify() is False
+
+
+def test_witness_build_raises_when_its_certificate_fails(monkeypatch):
+    silent = WildnessCertificate(False, (7, 2, -3), 2, 5, 1)
+    monkeypatch.setattr(space, "_degree_test", lambda cls, mm: silent)
+    with pytest.raises(InvariantViolation):
+        wild_witness((7, 2, -3))
 
 
 def test_witness_verify_holds_under_optimize_flag():
@@ -848,6 +896,34 @@ def test_rewrite_seeded_graded_chains():
             assert lift_plane_map(f, (5, 2, -3)).liftable
         if result.factors and target.coords[0].coeff((0, 1)) == 0:
             assert lift_plane_map(result.factors[-1], (5, 2, -3)).liftable
+
+
+def test_rewrite_factors_pinned():
+    # the pending matrix meets every split case (identity, diagonal only,
+    # shear only, both) and both u-shear cases (pb == 0 and pa != 0)
+    rng = random.Random(1527)
+    gens = [
+        PolynomialMap((u + 2 * v**4, v)),
+        PolynomialMap((2 * u + v + v**4, v)),
+        PolynomialMap((u, v + u**4)),
+        PolynomialMap((u, -v + 3 * u + u**4)),
+        PolynomialMap((u - v, v)),
+        PolynomialMap((u, v + 3 * u)),
+        PolynomialMap((2 * u, -v)),
+        PolynomialMap((2 * u, 3 * u - v)),
+        PolynomialMap((u + v, u + 2 * v)),
+        plane_swap(),
+    ]
+    lines = []
+    for _ in range(60):
+        factors = [rng.choice(gens) for _ in range(rng.randrange(1, 6))]
+        target = compose_chain(factors)
+        result = rewrite_liftable_chain(FactorChain(target, factors), (5, 2, -3))
+        lines.append(" ".join(f.render() for f in result.factors))
+    assert _digest(lines) == REWRITE_DIGEST
+
+
+REWRITE_DIGEST = "ea0cbdfdec6dd64a66e27f1e236632b7234d0efa09db9843b9f357d03ade56e3"
 
 
 # ---------------------------------------------------------------------------
