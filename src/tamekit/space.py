@@ -25,9 +25,11 @@ in the trivial grading, where every automorphism is graded).
 Each public entry point checks its inputs once, at its own boundary,
 and classifies the weights once: the GradingClassification is the one
 weight context passed down from there.  decompose_graded dispatches on
-its reason and decompose_zero_cases on its zero shape; the degree test,
-the pipelines and the lifts below take it as given and never classify,
-normalize or re-check the input map again.
+its reason, handing positive and zero weights to the public
+decompose_positive and decompose_zero_cases, and decompose_zero_cases
+dispatches on its zero shape; the degree test, the pipelines and the
+lifts below take the context as given and never classify, normalize or
+re-check the input map again.
 
 Everything is exact rational arithmetic; no floating point enters.
 """
@@ -170,59 +172,36 @@ def classify_grading(weights):
     w = tuple(weights)
     norm = normalize_weights(w)
     nw = norm.weights
-    base = dict(weights=w, normalized=norm)
+    a, b, c = nw[0], nw[1], -nw[2]
+    zero_shape = qh = lh = witness_q = witness_p = None
     if nw == (0, 0, 0):
-        return GradingClassification(
-            verdict=GradingVerdict.WILD_ADMITTING,
-            reason=GradingReason.TRIVIAL_GRADING,
-            **base,
-        )
-    if all(v > 0 for v in nw):
+        reason = GradingReason.TRIVIAL_GRADING
+    elif all(v > 0 for v in nw):
         reason = (
             GradingReason.ALL_NEGATIVE if norm.flipped else GradingReason.ALL_POSITIVE
         )
-        return GradingClassification(
-            verdict=GradingVerdict.TAME_ONLY, reason=reason, **base
-        )
-    if 0 in nw:
-        return GradingClassification(
-            verdict=GradingVerdict.TAME_ONLY,
-            reason=GradingReason.ZERO_WEIGHT,
-            zero_shape=_zero_shape(nw),
-            **base,
-        )
-    a, b = nw[0], nw[1]
-    c = -nw[2]
-    if b % gcd(a, c):
-        return GradingClassification(
-            verdict=GradingVerdict.TAME_ONLY,
-            reason=GradingReason.GCD_OBSTRUCTION,
-            **base,
-        )
-    if a % gcd(b, c):
-        return GradingClassification(
-            verdict=GradingVerdict.TAME_ONLY,
-            reason=GradingReason.SYMMETRIC_GCD_OBSTRUCTION,
-            **base,
-        )
-    # both divisibility checks passing forces gcd(a,c) = gcd(b,c) = 1
-    qh = q_hat(a, b, c)
-    lh = l_hat(a, b, c)
-    if qh >= 2:
-        return GradingClassification(
-            verdict=GradingVerdict.WILD_ADMITTING,
-            reason=GradingReason.Q_HAT_AT_LEAST_TWO,
-            q_hat=qh,
-            l_hat=lh,
-            witness_q=qh,
-            witness_p=(a - b * qh) // c,
-            **base,
-        )
-    reason = (
-        GradingReason.Q_HAT_ONE if qh == 1 else GradingReason.Q_HAT_NONPOSITIVE
-    )
+    elif 0 in nw:
+        reason = GradingReason.ZERO_WEIGHT
+        zero_shape = _zero_shape(nw)
+    elif b % gcd(a, c):
+        reason = GradingReason.GCD_OBSTRUCTION
+    elif a % gcd(b, c):
+        reason = GradingReason.SYMMETRIC_GCD_OBSTRUCTION
+    else:
+        # both divisibility checks passing forces gcd(a,c) = gcd(b,c) = 1
+        qh = q_hat(a, b, c)
+        lh = l_hat(a, b, c)
+        if qh >= 2:
+            reason = GradingReason.Q_HAT_AT_LEAST_TWO
+            witness_q, witness_p = qh, (a - b * qh) // c
+        elif qh == 1:
+            reason = GradingReason.Q_HAT_ONE
+        else:
+            reason = GradingReason.Q_HAT_NONPOSITIVE
+    wild = reason in (GradingReason.TRIVIAL_GRADING, GradingReason.Q_HAT_AT_LEAST_TWO)
+    verdict = GradingVerdict.WILD_ADMITTING if wild else GradingVerdict.TAME_ONLY
     return GradingClassification(
-        verdict=GradingVerdict.TAME_ONLY, reason=reason, q_hat=qh, l_hat=lh, **base
+        w, norm, verdict, reason, zero_shape, qh, lh, witness_q, witness_p
     )
 
 
@@ -248,9 +227,8 @@ def _mixed_abc(w, shape_error):
 
 
 def _check_graded(m, cls):
-    """Raise unless m is a three-variable map graded for cls.weights."""
-    if m.arity != 3:
-        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
+    """Raise unless m is a three-variable map graded for cls.weights;
+    Grading.is_graded_map raises ArityMismatch for any other arity."""
     if not Grading(cls.weights).is_graded_map(m):
         raise NotGraded(f"{m} is not graded for weights {cls.weights}")
 
@@ -286,7 +264,7 @@ def split_z_scaling(m, weights):
     """
     if m.arity != 3:
         raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    w = tuple(weights)
+    w = _check_weights(weights)
     if len(w) != 3 or not (w[0] >= 0 and w[1] >= 0 and w[2] < 0):
         raise WrongShape(
             f"weights {w} must have the third negative and the others nonnegative"
@@ -451,20 +429,20 @@ class WildWitness:
     degree bound, which ``certificate`` records.  For the trivial
     grading the witness is Nagata's automorphism and
     ``externally_certified`` is True: its wildness is a known fact the
-    degree test does not reprove.
+    degree test does not reprove, and the mixed-only fields stay None.
     """
 
     weights: tuple
     classification: GradingClassification
     map: PolynomialMap
     inverse: PolynomialMap
-    plane_map: object
-    plane_inverse: object
-    q_hat: object
-    l_hat: object
-    shear_exponent: object
-    certificate: object
-    externally_certified: bool
+    plane_map: object = None
+    plane_inverse: object = None
+    q_hat: object = None
+    l_hat: object = None
+    shear_exponent: object = None
+    certificate: object = None
+    externally_certified: bool = False
 
     def verify(self, compose_cap=200):
         """Re-check every claim about the witness, exactly.
@@ -579,19 +557,7 @@ def wild_witness(weights):
         )
     if cls.reason is GradingReason.TRIVIAL_GRADING:
         nag, nag_inv = nagata_pair()
-        return WildWitness(
-            weights=cls.weights,
-            classification=cls,
-            map=nag,
-            inverse=nag_inv,
-            plane_map=None,
-            plane_inverse=None,
-            q_hat=None,
-            l_hat=None,
-            shear_exponent=None,
-            certificate=None,
-            externally_certified=True,
-        )
+        return WildWitness(cls.weights, cls, nag, nag_inv, externally_certified=True)
     norm = cls.normalized
     qh, lh = cls.q_hat, cls.l_hat
     eps = _conjugated_shear(qh, lh, 1)
@@ -614,7 +580,6 @@ def wild_witness(weights):
         l_hat=lh,
         shear_exponent=cls.witness_p,
         certificate=cert,
-        externally_certified=False,
     )
 
 
@@ -631,16 +596,14 @@ def decompose_positive(m, weights):
     and commuting single-variable shears per level.  A singular block
     proves the map is not an automorphism.
     """
-    w = tuple(weights)
+    w = _check_weights(weights)
     if len(w) != m.arity:
         raise ArityMismatch(
             f"{len(w)} weights for a map of arity {m.arity}"
         )
-    if all(v > 0 for v in w):
-        pass
-    elif all(v < 0 for v in w):
+    if all(v < 0 for v in w):
         w = tuple(-v for v in w)
-    else:
+    if not all(v > 0 for v in w):
         raise WrongShape(f"weights {tuple(weights)} are not of one strict sign")
     if not Grading(w).is_graded_map(m):
         raise NotGraded(f"{m} is not graded for weights {tuple(weights)}")
@@ -843,15 +806,11 @@ def decompose_zero_cases(m, weights):
     Normalization leaves four shapes: (a, b, 0) with a > b, (1, 1, 0),
     (a, 0, -c), and (1, 0, 0).  Translations in the weight-zero
     variables are graded and are handled (the zero-weight chains are
-    the one place constants can appear).  ``weights`` may also be the
-    GradingClassification of the weights, which is then not rebuilt.
+    the one place constants can appear).
     """
     if m.arity != 3:
         raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
-    if isinstance(weights, GradingClassification):
-        cls = weights
-    else:
-        cls = classify_grading(weights)
+    cls = classify_grading(weights)
     if cls.zero_shape is None:
         raise WrongShape(
             f"weights {cls.weights} must have a zero entry but not be entirely zero"
@@ -874,16 +833,13 @@ _SWAP2 = [[0, 1], [1, 0]]
 
 
 def _emit_split(emitted, p):
-    """Emit a lower-triangular matrix as a diagonal map and a pure shear."""
+    """Emit a lower-triangular matrix as a diagonal map and a pure shear,
+    leaving out whichever of the two is the identity."""
     (pa, _), (pc, pd) = p
-    if p == _ID2:
-        return
-    if pc == 0:
-        emitted.append(PolynomialMap((pa * _U, pd * _V)))
-        return
     if pa != 1 or pd != 1:
         emitted.append(PolynomialMap((pa * _U, pd * _V)))
-    emitted.append(PolynomialMap((_U, _V + _div(pc, pd) * _U)))
+    if pc:
+        emitted.append(PolynomialMap((_U, _V + _div(pc, pd) * _U)))
 
 
 def _strip_first_shear(emitted, scale, addend):
@@ -899,22 +855,20 @@ def _absorb(emitted, p, f):
     """Push the pending linear map p through the elementary factor f.
 
     Returns the new pending matrix; whatever cannot stay pending is
-    appended to ``emitted`` as pure factors.  The remaining cases
-    conjugate f by the swap of u and v, which only relabels exponents;
-    that recursion lands in a non-recursive case, so the depth is at
-    most one.
+    appended to ``emitted`` as pure factors.  A u-shear needs pa != 0,
+    and then q = pb/pa clears the corner; pb == 0 needs no case of its
+    own, as it is q = 0, and an invertible p with pb == 0 has pa != 0.
+    The remaining cases conjugate f by the swap of u and v, which only
+    relabels exponents; that recursion lands in a non-recursive case,
+    so the depth is at most one.
     """
     d = elementary_detail(f)  # not None: the walk passes elementary factors only
     (pa, pb), (pc, pd) = p
     if d.index == 0:
-        if pb == 0:
-            _emit_split(emitted, p)
-            return _strip_first_shear(emitted, d.scale, d.addend)
         if pa != 0:
             q = _div(pb, pa)
             _emit_split(emitted, [[pa, 0], [pc, pd - q * pc]])
-            bumped = d.addend + q * _V
-            return _strip_first_shear(emitted, d.scale, bumped)
+            return _strip_first_shear(emitted, d.scale, d.addend + q * _V)
     elif pb == 0:
         _emit_split(emitted, p)
         emitted.append(PolynomialMap((_U, _V + d.addend)))
@@ -970,11 +924,10 @@ def _rewrite_walk(factors, rg):
             pending = _absorb(emitted, pending, f)
         elif kind is not MapClass.IDENTITY:
             raise WrongShape(f"factor {f} is neither linear nor elementary")
-    if pending != _ID2:
-        if pending[0][1] == 0:
-            _emit_split(emitted, pending)
-        else:
-            emitted.append(map_from_matrix(pending))
+    if pending[0][1] == 0:
+        _emit_split(emitted, pending)
+    else:
+        emitted.append(map_from_matrix(pending))
     return emitted
 
 
@@ -1063,14 +1016,12 @@ def decompose_graded(m, weights):
     some factor then fails to lift the outcome is genuinely unknown and
     WildAdmittingUndecided is raised.
     """
-    if m.arity != 3:
-        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
     cls = classify_grading(weights)
     reason = cls.reason
     if reason in (GradingReason.ALL_POSITIVE, GradingReason.ALL_NEGATIVE):
         return decompose_positive(m, cls.weights)
     if reason is GradingReason.ZERO_WEIGHT:
-        return decompose_zero_cases(m, cls)
+        return decompose_zero_cases(m, cls.weights)
     _check_graded(m, cls)
     mm = cls.normalized.to_normalized(m)
     if reason is GradingReason.TRIVIAL_GRADING:

@@ -2,8 +2,9 @@
 
 One row per check: a call that fails it, and the class it must raise.
 The calls hit maps, gradings, the plane descent's arity check, the
-Polynomial constructor and accessors, and the parser, so that moving a
-check or changing its class cannot go unnoticed.
+Polynomial constructor and accessors, the graded entry points' weight
+reading, and the parser, so that moving a check or changing its class
+cannot go unnoticed.
 """
 
 import pytest
@@ -19,8 +20,10 @@ from tamekit import (
     WrongShape,
     ZeroPolynomial,
     decompose_plane,
+    decompose_positive,
     identity_map,
     parse_polynomial,
+    split_z_scaling,
 )
 from tamekit.grading import _check_weights
 from tamekit.maps import map_from_matrix, matrix_product, perm_map
@@ -46,6 +49,8 @@ CASES = [
     ("no weights", lambda: _check_weights(()), ArityMismatch),
     ("zero modulus", lambda: ResidueGrading((1, 2), 0), ArityMismatch),
     ("plane descent on arity 3", lambda: decompose_plane(identity_map(3)), ArityMismatch),
+    ("positive weight not an int", lambda: decompose_positive(identity_map(3), ("a", 1, 2)), ArityMismatch),
+    ("z split weight not an int", lambda: split_z_scaling(identity_map(3), (1, 1, None)), ArityMismatch),
     # Polynomial validation
     ("arity zero", lambda: Polynomial(0), ArityMismatch),
     ("exponent tuple length", lambda: Polynomial(2, {(1,): 1}), ArityMismatch),
