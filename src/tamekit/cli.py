@@ -29,7 +29,6 @@ from .errors import (
     InvariantViolation,
     NotAnAutomorphism,
     NotGraded,
-    NotLiftable,
     ParseError,
     TamekitError,
     WildAdmittingUndecided,
@@ -585,7 +584,6 @@ def _build_parser():
 _EXIT_CODES = (
     (NotAnAutomorphism, 1),
     (NotGraded, 2),
-    (NotLiftable, 3),
     (CertifiedWildMap, 4),
     (WildAdmittingUndecided, 5),
 )

@@ -59,17 +59,6 @@ class LastVariableNotFixed(TamekitError):
     """Map does not send the last variable to itself exactly."""
 
 
-class NotLiftable(TamekitError):
-    """Plane map contains a monomial that cannot be lifted.
-
-    ``obstruction`` names the offending monomial kind.
-    """
-
-    def __init__(self, message, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
-
-
 class GcdPrecondition(TamekitError):
     """Weight divisibility preconditions for this routine fail."""
 
@@ -122,7 +111,3 @@ class ParseError(TamekitError):
 
 class EmptySequence(TamekitError):
     """An operation needing at least one element got none."""
-
-
-class MoreThanOneMixedSignPattern(TamekitError):
-    """Weights show a sign pattern outside the supported cases."""

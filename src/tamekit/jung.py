@@ -37,7 +37,6 @@ from .maps import (
     PolynomialMap,
     compose,
     constant_jacobian,
-    identity_map,
     plane_swap,
 )
 from .newton import AxisSegment, Obstruction, analyze_top_edge, newton_area
@@ -67,7 +66,8 @@ def _shear_for_edge(edge):
 
 
 def _base_factors(current, axis):
-    """Split a map whose first coordinate is scale * (x or y) + shift."""
+    """Split a map whose first coordinate is scale * (x or y) + shift;
+    FactorChain._derived drops a factor that is the identity."""
     if axis == 1:
         # precompose with the swap of x and y: only exponents move
         swap = lambda e: (e[1], e[0])
@@ -80,10 +80,7 @@ def _base_factors(current, axis):
         )
     aff = PolynomialMap((f, mu * _Y))
     elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
-    ident = identity_map(2)
-    factors = [fac for fac in (aff, elem) if fac != ident]
-    if axis == 1:
-        factors.append(plane_swap())
+    factors = [aff, elem, plane_swap()] if axis == 1 else [aff, elem]
     return factors, [""] * len(factors)
 
 

@@ -4,10 +4,10 @@ A PolynomialMap stores one coordinate polynomial per variable and acts
 as a point map: ``compose(f, g)`` is f after g, i.e. its i-th
 coordinate is f's i-th coordinate evaluated at g's coordinates.
 
-The MapClass taxonomy is purely structural (identity, linear, affine,
-elementary, triangular, general, in that priority order); whether a map
-is invertible is a separate question answered by the Jacobian helpers
-and the decomposition routines.
+The MapClass taxonomy (identity, linear, affine, elementary, triangular,
+general, in that priority order) names shaped automorphisms: every class
+except GENERAL is an automorphism, which invert_factor inverts directly,
+so a singular linear or affine map is GENERAL.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     WrongShape,
     ZeroPolynomial,
 )
-from .poly import Polynomial, _coerce, _div
+from .poly import Polynomial, _coerce, _div, _scalar
 
 
 class PolynomialMap:
@@ -232,16 +232,24 @@ def map_from_matrix(rows, constants=None):
     return PolynomialMap(coords)
 
 
+def _affine_matrix(m):
+    """The matrix of m's linear part, or None if a term has degree > 1."""
+    rows = [[0] * m.arity for _ in m.coords]
+    for row, c in zip(rows, m.coords):
+        for e, num in c._num.items():
+            if sum(e) > 1:
+                return None
+            if sum(e):
+                row[e.index(1)] = _scalar(num, c._den)
+    return rows
+
+
 def affine_parts(m):
     """(matrix, constants) of an affine map; WrongShape otherwise."""
-    n = m.arity
-    for c in m.coords:
-        if any(sum(e) > 1 for e in c._num):
-            raise WrongShape(f"{m} is not affine")
-    unit = lambda j: tuple(1 if k == j else 0 for k in range(n))
-    matrix = [[m.coords[i].coeff(unit(j)) for j in range(n)] for i in range(n)]
-    constants = [m.coords[i].constant_term() for i in range(n)]
-    return matrix, constants
+    matrix = _affine_matrix(m)
+    if matrix is None:
+        raise WrongShape(f"{m} is not affine")
+    return matrix, [c.constant_term() for c in m.coords]
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +301,28 @@ def is_triangular(m):
     return True
 
 
-def classify_map(m):
-    n = m.arity
-    if m == identity_map(n):
-        return MapClass.IDENTITY
-    if all(c._num and all(sum(e) == 1 for e in c._num) for c in m.coords):
-        return MapClass.LINEAR
-    if all(all(sum(e) <= 1 for e in c._num) for c in m.coords):
-        return MapClass.AFFINE
-    if elementary_detail(m) is not None:
-        return MapClass.ELEMENTARY
+def _shape(m):
+    """(class, data): data is the linear part's matrix for LINEAR and
+    AFFINE, the ElementaryDetail for ELEMENTARY, else None.  A singular
+    affine map is GENERAL: an affine elementary or triangular map has
+    its nonzero scales as determinant."""
+    if m == identity_map(m.arity):
+        return MapClass.IDENTITY, None
+    matrix = _affine_matrix(m)
+    if matrix is not None:
+        if matrix_det(matrix) == 0:
+            return MapClass.GENERAL, None
+        return (MapClass.LINEAR if m.is_origin_preserving() else MapClass.AFFINE), matrix
+    d = elementary_detail(m)
+    if d is not None:
+        return MapClass.ELEMENTARY, d
     if is_triangular(m):
-        return MapClass.TRIANGULAR
-    return MapClass.GENERAL
+        return MapClass.TRIANGULAR, None
+    return MapClass.GENERAL, None
+
+
+def classify_map(m):
+    return _shape(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +342,25 @@ def _invert_triangular(m):
 def invert_factor(m):
     """Invert a map of one of the shaped classes directly.
 
-    Handles identity, linear, affine, wide-sense elementary and
-    triangular maps; anything else needs a full decomposition first and
-    raises WrongShape.
+    Handles every class but GENERAL; a GENERAL map needs a full
+    decomposition first, or is no automorphism, and raises WrongShape.
     """
-    cls = classify_map(m)
+    cls, data = _shape(m)
     if cls is MapClass.IDENTITY:
         return m
     if cls in (MapClass.LINEAR, MapClass.AFFINE):
-        mat, consts = affine_parts(m)
-        inv = matrix_inverse(mat)
+        inv = matrix_inverse(data)
         n = m.arity
+        consts = [c.constant_term() for c in m.coords]
         shifted = [
             _coerce(-sum(inv[i][j] * consts[j] for j in range(n))) for i in range(n)
         ]
         return map_from_matrix(inv, shifted)
     if cls is MapClass.ELEMENTARY:
-        d = elementary_detail(m)
+        i = data.index
         xs = Polynomial.variables(m.arity)
         coords = list(xs)
-        coords[d.index] = (xs[d.index] - d.addend) * _div(1, d.scale)
+        coords[i] = (xs[i] - data.addend) * _div(1, data.scale)
         return PolynomialMap(coords)
     if cls is MapClass.TRIANGULAR:
         return _invert_triangular(m)
@@ -382,8 +398,14 @@ class FactorChain:
 
     @classmethod
     def _derived(cls, target, factors, notes=None):
-        """A chain tamekit derived itself: factors that fail to recompose
-        are a bug in tamekit (InvariantViolation), not a wrong input."""
+        """A chain tamekit derived itself, without its identity factors
+        and their notes (the one place they are dropped): factors that
+        fail to recompose are a bug in tamekit (InvariantViolation)."""
+        factors = tuple(factors)
+        notes = ("",) * len(factors) if notes is None else tuple(notes)
+        if len(notes) == len(factors):  # else the constructor refuses them
+            kept = [i for i, f in enumerate(factors) if f != identity_map(target.arity)]
+            factors, notes = [factors[i] for i in kept], [notes[i] for i in kept]
         try:
             return cls(target, factors, notes)
         except WrongShape as exc:
@@ -391,12 +413,6 @@ class FactorChain:
 
     def __len__(self):
         return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __getitem__(self, i):
-        return self.factors[i]
 
     def composed(self):
         if not self.factors:

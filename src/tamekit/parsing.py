@@ -396,14 +396,13 @@ class MapDocument:
 
     @classmethod
     def from_map(cls, m, grading=None, names=None):
+        """The document of m; grading is a Grading (residue or exact) or None."""
         if names is None:
             names = DEFAULT_NAMES.get(m.arity)
             _require(names is not None, f"pass names= for arity {m.arity}")
         weights = modulus = None
-        if isinstance(grading, Grading):
+        if grading is not None:
             weights, modulus = grading.weights, grading.modulus
-        elif grading is not None:
-            weights = tuple(grading)
         return cls(
             tuple(names),
             tuple(c.render(names) for c in m.coords),

@@ -68,15 +68,14 @@ from .grading import (
 )
 from .jung import _descend
 from .maps import (
+    ElementaryDetail,
     FactorChain,
     MapClass,
     PolynomialMap,
-    affine_parts,
+    _shape,
     classify_map,
     compose_chain,
     constant_jacobian,
-    elementary_detail,
-    identity_map,
     map_from_matrix,
     matrix_det,
     matrix_inverse,
@@ -234,13 +233,11 @@ def _check_graded(m, cls):
 
 
 def _graded_chain(m, factors, weights, norm=None):
-    """The FactorChain of m, after dropping the identity factors and
-    moving the others back to the original variables with norm when they
-    were found in normalized ones.  This is the final check of every
-    graded decomposition, and the one place identities are dropped: the
-    builders below emit every factor of their shape, trivial or not."""
-    ident = identity_map(m.arity)
-    factors = [f for f in factors if f != ident]
+    """The FactorChain of m, after moving the factors back to the
+    original variables with norm when they were found in normalized
+    ones.  This is the final check of every graded decomposition;
+    FactorChain._derived drops the identity factors the builders below
+    emit."""
     if norm is not None:
         factors = [norm.to_original(f) for f in factors]
     chain = FactorChain._derived(m, factors)
@@ -851,18 +848,18 @@ def _strip_first_shear(emitted, scale, addend):
     return [[scale, beta], [0, 1]]
 
 
-def _absorb(emitted, p, f):
-    """Push the pending linear map p through the elementary factor f.
+def _absorb(emitted, p, d):
+    """Push the pending linear map p through the elementary factor with
+    ElementaryDetail d.
 
     Returns the new pending matrix; whatever cannot stay pending is
     appended to ``emitted`` as pure factors.  A u-shear needs pa != 0,
     and then q = pb/pa clears the corner; pb == 0 needs no case of its
     own, as it is q = 0, and an invertible p with pb == 0 has pa != 0.
-    The remaining cases conjugate f by the swap of u and v, which only
-    relabels exponents; that recursion lands in a non-recursive case,
-    so the depth is at most one.
+    The remaining cases conjugate the factor by the swap of u and v,
+    which only relabels exponents; that recursion lands in a
+    non-recursive case, so the depth is at most one.
     """
-    d = elementary_detail(f)  # not None: the walk passes elementary factors only
     (pa, pb), (pc, pd) = p
     if d.index == 0:
         if pa != 0:
@@ -874,7 +871,7 @@ def _absorb(emitted, p, f):
         emitted.append(PolynomialMap((_U, _V + d.addend)))
         return [[1, 0], [0, d.scale]]
     swap = lambda e: (e[1], e[0])
-    conj = PolynomialMap(tuple(c.map_exponents(2, swap) for c in reversed(f.coords)))
+    conj = ElementaryDetail(1 - d.index, d.scale, d.addend.map_exponents(2, swap))
     return matrix_product(_absorb(emitted, matrix_product(p, _SWAP2), conj), _SWAP2)
 
 
@@ -883,8 +880,9 @@ def rewrite_liftable_chain(chain, weights):
 
     ``weights`` is the mixed triple (a, b, -c) with threshold exponent
     exactly one (QHatNotOne otherwise); factors must be graded for the
-    residue grading, origin-preserving, and linear or elementary.  The
-    rewrite pushes every impure linear part rightward into one pending
+    residue grading, origin-preserving, and invertible linear or
+    elementary (WrongShape otherwise, also for a singular linear factor).
+    The rewrite pushes every impure linear part rightward into one pending
     linear map, emitting pure shears along the way; with q_hat equal to
     one every emitted shear lifts, so all unliftable content ends up
     concentrated in at most one trailing linear factor.  That factor
@@ -906,8 +904,9 @@ def _rewrite_walk(factors, rg):
 
     Each factor is checked as the walk reaches it, so the first faulty
     factor decides the error: graded for rg, origin-preserving, then
-    linear or elementary.  Each emitted factor is graded, and none is
-    the identity: a linear map is graded when diagonal or when u and v
+    linear or elementary; a singular linear factor is GENERAL, so it
+    raises WrongShape and the pending matrix stays invertible.  Each
+    emitted factor is graded, and none is the identity: a linear map is graded when diagonal or when u and v
     share a weight, and an emitted shear holds terms of a graded addend.
     """
     emitted = []
@@ -917,13 +916,13 @@ def _rewrite_walk(factors, rg):
             raise NotGradedChain(f"factor {f} is not graded for {rg!r}")
         if not f.is_origin_preserving():
             raise OriginNotPreserved(f"factor {f} moves the origin")
-        kind = classify_map(f)
+        kind, data = _shape(f)
         if kind is MapClass.LINEAR:
-            pending = matrix_product(pending, affine_parts(f)[0])
+            pending = matrix_product(pending, data)
         elif kind is MapClass.ELEMENTARY:
-            pending = _absorb(emitted, pending, f)
+            pending = _absorb(emitted, pending, data)
         elif kind is not MapClass.IDENTITY:
-            raise WrongShape(f"factor {f} is neither linear nor elementary")
+            raise WrongShape(f"factor {f} is neither invertible linear nor elementary")
     if pending[0][1] == 0:
         _emit_split(emitted, pending)
     else:
@@ -990,16 +989,17 @@ def _split_triangular(m):
 
 def _decompose_trivial(m):
     """The factors of m for zero weights: every map is graded, so only
-    shaped cases decompose."""
+    shaped cases decompose.  The constant Jacobian test runs first, as in
+    decompose_zero_cases; every class but GENERAL is an automorphism."""
+    if constant_jacobian(m) is None:
+        raise NotAnAutomorphism(
+            "the map does not have a nonzero constant Jacobian determinant"
+        )
     cls = classify_map(m)
-    if cls in (MapClass.LINEAR, MapClass.AFFINE):
-        if matrix_det(affine_parts(m)[0]) == 0:
-            raise NotAnAutomorphism(f"{m} has a singular linear part")
-        return [m]
-    if cls in (MapClass.IDENTITY, MapClass.ELEMENTARY):
-        return [m]
     if cls is MapClass.TRIANGULAR:
         return _split_triangular(m)
+    if cls is not MapClass.GENERAL:
+        return [m]
     raise WildAdmittingUndecided(
         "the zero grading admits wild automorphisms; only linear, "
         "elementary and triangular shapes are decomposed directly"

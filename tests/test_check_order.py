@@ -50,6 +50,9 @@ def _chain(*factors):
 
 MOVES_ORIGIN = PolynomialMap((u + 1, v))
 GENERAL = PolynomialMap((u + v**2, v + u**2))
+# linear, graded for every residue grading of u and v of one weight,
+# and singular: GENERAL in the map taxonomy
+SINGULAR = PolynomialMap((u + v, u + v))
 
 CASES = [
     # decompose_graded: the map's arity, then the weights, then gradedness
@@ -172,6 +175,26 @@ CASES = [
         rewrite_liftable_chain,
         (_chain(PolynomialMap((u + v**4, v + u**4)), MOVES_ORIGIN), (5, 2, -3)),
         WrongShape,
+    ),
+    ("singular", rewrite_liftable_chain, (_chain(SINGULAR), (5, 2, -3)), WrongShape),
+    # PLANE is not graded for (5, 2, -3): v^2 has weight 4, not 2, mod 3
+    (
+        "ungraded then singular",
+        rewrite_liftable_chain,
+        (_chain(PLANE, SINGULAR), (5, 2, -3)),
+        NotGradedChain,
+    ),
+    (
+        "singular then ungraded",
+        rewrite_liftable_chain,
+        (_chain(SINGULAR, PLANE), (5, 2, -3)),
+        WrongShape,
+    ),
+    (
+        "origin then singular",
+        rewrite_liftable_chain,
+        (_chain(MOVES_ORIGIN, SINGULAR), (2, 1, -1)),
+        OriginNotPreserved,
     ),
 ]
 

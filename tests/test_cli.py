@@ -72,6 +72,12 @@ def test_verify_three_variable(capsys):
     assert code == 1 and "automorphism: false" in out
 
 
+def test_verify_trivial_grading_rejects_a_nonconstant_jacobian(capsys):
+    # the Jacobian 2x rules the map out before the shape router runs
+    code, out, _ = run(capsys, "verify", "(x^2, y, z)")
+    assert code == 1 and "automorphism: false" in out
+
+
 def test_verify_undecided(capsys):
     # no grading and no recognizable shape: the trivial-grading router
     # refuses to guess

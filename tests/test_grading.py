@@ -83,6 +83,11 @@ def test_exact_and_residue_gradings_stay_distinct():
     assert len({exact, residue}) == 2
 
 
+def test_grading_is_never_equal_to_a_non_grading():
+    assert Grading((1, 2)).__eq__("x") is NotImplemented
+    assert Grading((1, 2)) != "x"
+
+
 def test_residue_grading_equality_reads_reduced_weights():
     assert ResidueGrading((4, 2), 3) == ResidueGrading((1, 2), 3)
     assert hash(ResidueGrading((4, 2), 3)) == hash(ResidueGrading((1, 2), 3))

@@ -145,6 +145,32 @@ def test_factor_chain_invariant():
         FactorChain(target, (PolynomialMap((2 * x, y)),))
 
 
+def test_factor_chain_repr_renders_target_and_factors():
+    target = PolynomialMap((2 * x + y**2, y))
+    chain = FactorChain(target, (PolynomialMap((2 * x, y)), PolynomialMap((x + Fraction(1, 2) * y**2, y))))
+    assert repr(chain) == "FactorChain(target=(y^2 + 2*x, y), factors=[(2*x, y), (1/2*y^2 + x, y)])"
+
+
+def test_derived_chain_drops_identity_factors_with_their_notes():
+    shear, ident = PolynomialMap((x + y**2, y)), identity_map(2)
+    chain = FactorChain._derived(shear, (ident, shear, ident), ("a", "b", "c"))
+    assert chain.factors == (shear,) and chain.notes == ("b",)
+    # the public constructor keeps the factors it is given
+    assert FactorChain(shear, (ident, shear)).factors == (ident, shear)
+
+
+def test_singular_linear_and_affine_maps_are_general():
+    for m in (
+        PolynomialMap((x + y, x + y)),
+        PolynomialMap((x + y + 1, 2 * x + 2 * y)),
+        PolynomialMap((x, 0)),
+        PolynomialMap((x, 1)),
+    ):
+        assert classify_map(m) is MapClass.GENERAL, m
+        with pytest.raises(WrongShape):
+            invert_factor(m)
+
+
 def test_factor_chain_empty_means_identity():
     chain = FactorChain(identity_map(2), ())
     assert chain.composed() == identity_map(2)

@@ -130,6 +130,15 @@ def test_bool_is_not_a_scalar_to_compare_with():
     assert (Polynomial.zero(2) == False) is False
 
 
+def test_non_scalar_operands_are_not_implemented():
+    assert x.__add__("a") is NotImplemented
+    assert x.__mul__("a") is NotImplemented
+    with pytest.raises(TypeError):
+        x + "a"
+    with pytest.raises(TypeError):
+        x * "a"
+
+
 def test_constants_hash_like_their_scalars():
     for value in (3, -1, 0, Fraction(1, 2), Fraction(-7, 3)):
         c = Polynomial.constant(2, value)
