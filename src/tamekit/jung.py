@@ -55,13 +55,13 @@ def _shear_for_edge(edge):
     lam = edge.coefficient
     if edge.p == 1:
         recip = _div(1, lam)
-        psi = PolynomialMap((_X + recip * _Y**edge.q, _Y))
-        psi_inv = PolynomialMap((_X - recip * _Y**edge.q, _Y))
+        psi = PolynomialMap._raw((_X + recip * _Y**edge.q, _Y))
+        psi_inv = PolynomialMap._raw((_X - recip * _Y**edge.q, _Y))
         return psi, psi_inv, ""
     # q == 1: shear the second coordinate instead; recorded as a single
     # elementary factor rather than swap-conjugating the first-variable one
-    psi = PolynomialMap((_X, _Y + lam * _X**edge.p))
-    psi_inv = PolynomialMap((_X, _Y - lam * _X**edge.p))
+    psi = PolynomialMap._raw((_X, _Y + lam * _X**edge.p))
+    psi_inv = PolynomialMap._raw((_X, _Y - lam * _X**edge.p))
     return psi, psi_inv, "mirrored"
 
 
@@ -71,15 +71,15 @@ def _base_factors(current, axis):
     if axis == 1:
         # precompose with the swap of x and y: only exponents move
         swap = lambda e: (e[1], e[0])
-        current = PolynomialMap(tuple(c.map_exponents(2, swap) for c in current.coords))
+        current = PolynomialMap._raw(c.map_exponents(2, swap) for c in current.coords)
     f, g = current.coords
     mu, w = g.split_variable(1)
     if mu == 0 or w.involves(1):
         raise NotAnAutomorphism(
             f"second coordinate {g} is not linear in y over K[x]"
         )
-    aff = PolynomialMap((f, mu * _Y))
-    elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
+    aff = PolynomialMap._raw((f, mu * _Y))
+    elem = PolynomialMap._raw((_X, _Y + w * _div(1, mu)))
     factors = [aff, elem, plane_swap()] if axis == 1 else [aff, elem]
     return factors, [""] * len(factors)
 

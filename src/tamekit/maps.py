@@ -50,6 +50,13 @@ class PolynomialMap:
             lifted.append(c)
         self.coords = tuple(lifted)
 
+    @classmethod
+    def _raw(cls, coords):
+        # internal, no validation: Polynomials, each of arity len(coords)
+        self = object.__new__(cls)
+        self.coords = tuple(coords)
+        return self
+
     @property
     def arity(self):
         return len(self.coords)
@@ -116,7 +123,7 @@ def compose(left, right):
         raise ArityMismatch(
             f"cannot compose arity {left.arity} with arity {right.arity}"
         )
-    return PolynomialMap(tuple(c.substitute(right.coords) for c in left.coords))
+    return PolynomialMap._raw(c.substitute(right.coords) for c in left.coords)
 
 
 def compose_chain(maps):
@@ -127,11 +134,6 @@ def compose_chain(maps):
     for m in maps[1:]:
         result = compose(result, m)
     return result
-
-
-def verify_inverse_pair(m, inv):
-    ident = identity_map(m.arity)
-    return compose(m, inv) == ident and compose(inv, m) == ident
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +221,15 @@ def map_from_matrix(rows, constants=None):
     n = len(rows)
     if constants is None:
         constants = (0,) * n
-    xs = Polynomial.variables(n)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     coords = []
     for i in range(n):
         if len(rows[i]) != n:
             raise ArityMismatch("matrix is not square")
-        c = Polynomial.constant(n, constants[i])
-        for j in range(n):
-            if rows[i][j]:
-                c = c + rows[i][j] * xs[j]
-        coords.append(c)
-    return PolynomialMap(coords)
+        terms = dict(zip(units, rows[i]))
+        terms[(0,) * n] = constants[i]
+        coords.append(Polynomial(n, terms))
+    return PolynomialMap._raw(coords)
 
 
 def _affine_matrix(m):
@@ -361,10 +361,49 @@ def invert_factor(m):
         xs = Polynomial.variables(m.arity)
         coords = list(xs)
         coords[i] = (xs[i] - data.addend) * _div(1, data.scale)
-        return PolynomialMap(coords)
+        return PolynomialMap._raw(coords)
     if cls is MapClass.TRIANGULAR:
         return _invert_triangular(m)
     raise WrongShape(f"cannot invert {m} without decomposing it")
+
+
+def verify_inverse_pair(m, inv):
+    """True when inv is the two-sided inverse of m: decided on
+    coefficients for LINEAR, AFFINE and ELEMENTARY m, else composed.
+
+    A shaped m is an automorphism, so m∘inv = id alone gives
+    inv = m⁻¹∘m∘inv = m⁻¹, and inv∘m = id with it.  For m = M*x + c,
+    m∘inv is c + M*inv, summed coordinate by coordinate with no
+    substitution; it is the identity exactly when inv = N*x + d with
+    M*N = I and M*d + c = 0.  An elementary m sends x_i to s*x_i + a, a
+    free of x_i.  If inv fixes the other variables and sends x_i to
+    t*x_i + b, b free of x_i, then m∘inv sends x_i to s*t*x_i + s*b + a,
+    which is x_i exactly when s*t = 1 and s*b + a = 0.  m⁻¹ has that
+    form, so any other inv (the identity, which elementary_detail reads
+    on index 0, included) is not m⁻¹.
+    """
+    if m.arity != inv.arity:
+        raise ArityMismatch(f"cannot compose arity {m.arity} with arity {inv.arity}")
+    cls, data = _shape(m)
+    if cls in (MapClass.LINEAR, MapClass.AFFINE):
+        for row, f, x in zip(data, m.coords, Polynomial.variables(m.arity)):
+            image = Polynomial.constant(m.arity, f.constant_term())
+            for a, g in zip(row, inv.coords):
+                if a:
+                    image = image + a * g
+            if image != x:
+                return False
+        return True
+    if cls is MapClass.ELEMENTARY:
+        d = elementary_detail(inv)
+        return (
+            d is not None
+            and d.index == data.index
+            and data.scale * d.scale == 1
+            and (data.scale * d.addend + data.addend).is_zero()
+        )
+    ident = identity_map(m.arity)
+    return compose(m, inv) == ident and compose(inv, m) == ident
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +465,8 @@ class FactorChain:
         """The inverse of the target: the factors inverted, in reverse order.
 
         The target is g1∘…∘gn exactly (checked at construction), and each
-        hi = invert_factor(gi) is checked to be a two-sided inverse of gi,
+        hi = invert_factor(gi) is checked to be a two-sided inverse of gi
+        by verify_inverse_pair (on coefficients unless gi is triangular),
         else InvariantViolation.  So hn∘…∘h1 is the inverse of the
         target, and the target itself is never composed.
         """

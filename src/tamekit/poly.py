@@ -368,15 +368,20 @@ class Polynomial:
         """Move each term's exponent tuple e to ``fn(e)`` in ``arity``
         variables, adding terms that land together (zero sums vanish).
 
-        The new tuples are not validated: callers guarantee they have
-        length ``arity`` and non-negative entries.
+        One pass relabels the support; terms are added one by one only if
+        two exponents collided (the restriction to z = 1, the weight lift
+        and the permutations never collide on graded supports).  The new
+        tuples are not validated: callers keep them of length ``arity``
+        with no negative entry.
         """
-        acc = {}
-        get = acc.get
-        for exps, c in self._num.items():
-            key = fn(exps)
-            acc[key] = get(key, 0) + c
-        return Polynomial._raw(arity, {e: c for e, c in acc.items() if c}, self._den)
+        num = self._num
+        moved = dict(zip(map(fn, num), num.values()))
+        if len(moved) < len(num):
+            moved = {}
+            for e, c in zip(map(fn, num), num.values()):
+                moved[e] = moved.get(e, 0) + c
+            moved = {e: c for e, c in moved.items() if c}
+        return Polynomial._raw(arity, moved, self._den)
 
     def substitute(self, images):
         """Evaluate at ``images``, one per variable.

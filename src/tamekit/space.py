@@ -278,7 +278,7 @@ def _split_z(m):
         raise ThirdCoordinateNotScalar(
             f"third coordinate {m.coords[2]} is not a nonzero scalar multiple of z"
         )
-    return PolynomialMap((_X, _Y, lam * _Z)), PolynomialMap((m.coords[0], m.coords[1], _Z))
+    return PolynomialMap._raw((_X, _Y, lam * _Z)), PolynomialMap._raw((*m.coords[:2], _Z))
 
 
 def restrict_to_plane(m):
@@ -289,7 +289,7 @@ def restrict_to_plane(m):
         raise LastVariableNotFixed(
             f"third coordinate must be z itself, got {m.coords[2]}"
         )
-    return PolynomialMap(c.map_exponents(2, lambda e: e[:2]) for c in m.coords[:2])
+    return PolynomialMap._raw(c.map_exponents(2, lambda e: e[:2]) for c in m.coords[:2])
 
 
 class ObstructionKind(enum.Enum):
@@ -344,7 +344,7 @@ def lift_plane_map(pm, weights):
         return LiftReport(
             False, LiftObstruction(ObstructionKind.FREE_TERM, 1, (0, 0))
         )
-    lifted = PolynomialMap(
+    lifted = PolynomialMap._raw(
         (
             _lift_coord(pm.coords[0], a, a, b, c),
             _lift_coord(pm.coords[1], b, a, b, c),
@@ -407,11 +407,9 @@ def _degree_test(cls, mm):
     pm = restrict_to_plane(_split_z(mm)[1])
     lam, drop = pm.coords[0].split_variable(0)
     threshold = qh - cls.normalized.weights[2]
-    for exps in sorted(drop._num, key=lambda e: (sum(e), e)):
-        if sum(exps) < threshold:
-            return WildnessCertificate(
-                True, cls.weights, qh, threshold, lam, exps, sum(exps)
-            )
+    low = min(drop._num, key=lambda e: (sum(e), e), default=None)
+    if low is not None and sum(low) < threshold:
+        return WildnessCertificate(True, cls.weights, qh, threshold, lam, low, sum(low))
     return WildnessCertificate(False, cls.weights, qh, threshold, lam)
 
 
@@ -445,8 +443,10 @@ class WildWitness:
         """Re-check every claim about the witness, exactly.
 
         Always checks gradedness under the original weights, that the
-        two shear factors are literal inverse pairs, and that the plane
-        map and plane inverse really are the stated conjugates.
+        two shear factors are inverse pairs (both are elementary, so
+        verify_inverse_pair decides them on their coefficients), and
+        that the plane map and plane inverse really are the stated
+        conjugates.
         wild_witness writes the conjugates down from binomial sums, so
         composing the factors here is an independent second derivation,
         not a replay of the first.  The composition folds the two small
@@ -625,7 +625,7 @@ def decompose_positive(m, weights):
         lin_coords = list(xs)
         for i, tail in zip(idxs, tails):
             lin_coords[i] = m.coords[i] - tail
-        factors.append(PolynomialMap(lin_coords))
+        factors.append(PolynomialMap._raw(lin_coords))
         inv = matrix_inverse(block)
         for r, i in enumerate(idxs):
             acc = Polynomial.zero(n)
@@ -633,7 +633,7 @@ def decompose_positive(m, weights):
                 acc = acc + inv[r][col] * tails[col]
             coords = list(xs)
             coords[i] = xs[i] + acc
-            factors.append(PolynomialMap(coords))
+            factors.append(PolynomialMap._raw(coords))
     return _graded_chain(m, factors, w)
 
 

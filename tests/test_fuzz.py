@@ -12,14 +12,20 @@ properties must hold for every entry point:
   * a returned chain recomposes to a map with a nonzero constant
     Jacobian, that is, only automorphisms are accepted.
 
+Shaped single factors also check verify_inverse_pair, which decides
+linear, affine and elementary pairs on coefficients: against each
+factor's true inverse and six near misses of it, it must agree with
+composing both ways literally.
+
 The seed is fixed and the example counts are bounded, so a run takes a
 few seconds and always draws the same chains.
 """
 
+from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from tamekit import (
     FactorChain,
@@ -33,10 +39,13 @@ from tamekit import (
     constant_jacobian,
     decompose_graded,
     decompose_plane,
+    identity_map,
     invert_factor,
     rewrite_liftable_chain,
     verify_inverse_pair,
 )
+from tamekit.maps import elementary_detail
+from test_maps import literal_inverse_pair
 
 u, v = Polynomial.variables(2)
 x, y, z = Polynomial.variables(3)
@@ -125,4 +134,68 @@ def test_every_class_but_general_is_inverted(m):
         with pytest.raises(WrongShape):
             invert_factor(m)
     else:
-        assert verify_inverse_pair(m, invert_factor(m)), m
+        assert literal_inverse_pair(m, invert_factor(m)), m
+
+
+@st.composite
+def elementaries(draw):
+    """x_i -> s*x_i + c*x_j^k + d in two or three variables, j != i; a
+    degree-1 or constant addend makes the map affine instead."""
+    n = draw(st.sampled_from([2, 3]))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.sampled_from([k for k in range(n) if k != i]))
+    xs = Polynomial.variables(n)
+    coords = list(xs)
+    s = draw(st.sampled_from([-2, -1, Fraction(1, 2), 1, 3]))
+    coords[i] = s * xs[i] + draw(UNIT) * xs[j] ** draw(SHEAR_DEGREES) + draw(UNIT)
+    return PolynomialMap(coords)
+
+
+CANDIDATES = ["inverse", "scale", "addend", "constant", "index", "identity", "non-affine"]
+
+
+def _candidate(kind, inv, i):
+    """inv itself, or a near miss of it at coordinate i."""
+    n = inv.arity
+    xs = Polynomial.variables(n)
+    j = (i + 1) % n
+    if kind == "identity":
+        return identity_map(n)
+    coords = list(inv.coords)
+    if kind == "index":
+        # inv's i-th coordinate, scale and rest, rewrites another
+        # variable instead, one its rest is free of where there is one
+        scale, rest = coords[i].split_variable(i)
+        j = next((k for k in range(n) if k != i and not rest.involves(k)), j)
+        coords = list(xs)
+        coords[j] = scale * xs[j] + rest
+    elif kind == "scale":
+        scale, rest = coords[i].split_variable(i)
+        coords[i] = (scale + 1) * xs[i] + rest
+    elif kind == "addend":
+        coords[i] += xs[j]
+    elif kind == "constant":
+        coords[i] += 1
+    elif kind == "non-affine":
+        coords[i] += xs[i] ** 2
+    return PolynomialMap(coords)
+
+
+SHAPED = (MapClass.LINEAR, MapClass.AFFINE, MapClass.ELEMENTARY, MapClass.TRIANGULAR)
+
+
+@seed(20230516)
+@settings(max_examples=600, deadline=None, database=None)
+@given(
+    st.one_of(matrices, elementaries(), affine_planes, affine_spaces, triangulars),
+    st.sampled_from(CANDIDATES),
+    st.integers(0, 2),
+)
+def test_pair_check_agrees_with_literal_composition(m, kind, k):
+    cls = classify_map(m)
+    assume(cls in SHAPED)
+    i = elementary_detail(m).index if cls is MapClass.ELEMENTARY else k % m.arity
+    candidate = _candidate(kind, invert_factor(m), i)
+    literal = literal_inverse_pair(m, candidate)
+    assert verify_inverse_pair(m, candidate) == literal, (m, candidate)
+    assert literal or kind != "inverse"

@@ -32,6 +32,7 @@ from tamekit.maps import (
 )
 from tamekit.poly import Polynomial
 from tamekit.space import decompose_zero_cases
+from test_maps import literal_inverse_pair
 
 x, y = Polynomial.variables(2)
 
@@ -154,12 +155,12 @@ def test_invert_plane():
 
 def test_invert_factor_shapes():
     aff = PolynomialMap((2 * x + 1, y - 3))
-    assert verify_inverse_pair(aff, invert_factor(aff))
+    assert literal_inverse_pair(aff, invert_factor(aff))
     elem = PolynomialMap((x, 5 * y + x**2 - 2))
-    assert verify_inverse_pair(elem, invert_factor(elem))
+    assert literal_inverse_pair(elem, invert_factor(elem))
     X, Y, Z = Polynomial.variables(3)
     tri = PolynomialMap((2 * X + Y * Z, Y + Z**2, 3 * Z + 1))
-    assert verify_inverse_pair(tri, invert_factor(tri))
+    assert literal_inverse_pair(tri, invert_factor(tri))
 
 
 # ---------------------------------------------------------------------------

@@ -237,3 +237,30 @@ def test_map_exponents_matches_substitution(a):
     restricted = a.map_exponents(2, lambda e: e[:2])
     assert restricted == a.substitute((x, y, 1))
     assert Polynomial(2, dict(restricted.terms)).terms == restricted.terms
+
+
+def _accumulated(p, arity, fn):
+    # the reference: add each moved term in turn, through the public view
+    acc = {}
+    for exps, c in p.terms.items():
+        acc[fn(exps)] = acc.get(fn(exps), 0) + c
+    return Polynomial(arity, acc)
+
+
+RELABELLINGS = {
+    "permutation": (3, lambda e: (e[2], e[0], e[1])),
+    "weight lift": (3, lambda e: (e[0], e[1], e[2] + 2 * e[0] + e[1])),
+    "restriction": (2, lambda e: e[:2]),
+    "fold z into x": (2, lambda e: (e[0] + e[2], e[1])),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(3), polys(2), st.sampled_from(sorted(RELABELLINGS)))
+def test_map_exponents_matches_the_accumulate_loop(a, b, name):
+    arity, fn = RELABELLINGS[name]
+    # b*(z - 1) collides term by term under the restriction and cancels
+    lifted = b.substitute((X, Y))
+    for p in (a, lifted * (Z - 1), a + lifted * (Z - 1)):
+        assert p.map_exponents(arity, fn) == _accumulated(p, arity, fn)
+    assert (lifted * (Z - 1)).map_exponents(2, lambda e: e[:2]).is_zero()
