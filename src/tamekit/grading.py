@@ -162,7 +162,7 @@ def _permuted(m, perm):
         return m
     p0, p1, p2 = perm
     move = lambda e: (e[p0], e[p1], e[p2])
-    return PolynomialMap._raw(m.coords[p].map_exponents(3, move) for p in perm)
+    return PolynomialMap(m.coords[p].map_exponents(3, move) for p in perm)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,8 +35,8 @@ from .errors import (
 from .maps import (
     FactorChain,
     PolynomialMap,
+    _require_constant_jacobian,
     compose,
-    constant_jacobian,
     plane_swap,
 )
 from .newton import AxisSegment, Obstruction, analyze_top_edge, newton_area
@@ -55,13 +55,13 @@ def _shear_for_edge(edge):
     lam = edge.coefficient
     if edge.p == 1:
         recip = _div(1, lam)
-        psi = PolynomialMap._raw((_X + recip * _Y**edge.q, _Y))
-        psi_inv = PolynomialMap._raw((_X - recip * _Y**edge.q, _Y))
+        psi = PolynomialMap((_X + recip * _Y**edge.q, _Y))
+        psi_inv = PolynomialMap((_X - recip * _Y**edge.q, _Y))
         return psi, psi_inv, ""
     # q == 1: shear the second coordinate instead; recorded as a single
     # elementary factor rather than swap-conjugating the first-variable one
-    psi = PolynomialMap._raw((_X, _Y + lam * _X**edge.p))
-    psi_inv = PolynomialMap._raw((_X, _Y - lam * _X**edge.p))
+    psi = PolynomialMap((_X, _Y + lam * _X**edge.p))
+    psi_inv = PolynomialMap((_X, _Y - lam * _X**edge.p))
     return psi, psi_inv, "mirrored"
 
 
@@ -71,15 +71,15 @@ def _base_factors(current, axis):
     if axis == 1:
         # precompose with the swap of x and y: only exponents move
         swap = lambda e: (e[1], e[0])
-        current = PolynomialMap._raw(c.map_exponents(2, swap) for c in current.coords)
+        current = PolynomialMap(c.map_exponents(2, swap) for c in current.coords)
     f, g = current.coords
     mu, w = g.split_variable(1)
     if mu == 0 or w.involves(1):
         raise NotAnAutomorphism(
             f"second coordinate {g} is not linear in y over K[x]"
         )
-    aff = PolynomialMap._raw((f, mu * _Y))
-    elem = PolynomialMap._raw((_X, _Y + w * _div(1, mu)))
+    aff = PolynomialMap((f, mu * _Y))
+    elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
     factors = [aff, elem, plane_swap()] if axis == 1 else [aff, elem]
     return factors, [""] * len(factors)
 
@@ -101,10 +101,7 @@ def _descend(m, trace):
     ``trace``, if given, gets the current map and its newton_area once
     per step, before the step is read.
     """
-    if constant_jacobian(m) is None:
-        raise NotAnAutomorphism(
-            "the map does not have a nonzero constant Jacobian determinant"
-        )
+    _require_constant_jacobian(m)
     current = m
     suffix = []
     suffix_notes = []

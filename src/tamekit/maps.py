@@ -21,6 +21,7 @@ from .errors import (
     ArityMismatch,
     EmptySequence,
     InvariantViolation,
+    NotAnAutomorphism,
     WrongShape,
     ZeroPolynomial,
 )
@@ -37,6 +38,13 @@ class PolynomialMap:
         if not coords:
             raise ArityMismatch("a map needs at least one coordinate")
         arity = len(coords)
+        for c in coords:
+            if type(c) is not Polynomial or c.arity != arity:
+                break
+        else:
+            # every coordinate is a Polynomial of the map's arity already
+            self.coords = coords
+            return
         lifted = []
         for c in coords:
             if isinstance(c, (int, Fraction)):
@@ -50,20 +58,9 @@ class PolynomialMap:
             lifted.append(c)
         self.coords = tuple(lifted)
 
-    @classmethod
-    def _raw(cls, coords):
-        # internal, no validation: Polynomials, each of arity len(coords)
-        self = object.__new__(cls)
-        self.coords = tuple(coords)
-        return self
-
     @property
     def arity(self):
         return len(self.coords)
-
-    def apply(self, poly):
-        """Pull a polynomial back through the map: h becomes h(coords)."""
-        return poly.substitute(self.coords)
 
     def degree(self):
         degrees = [c.total_degree() for c in self.coords if not c.is_zero()]
@@ -123,7 +120,7 @@ def compose(left, right):
         raise ArityMismatch(
             f"cannot compose arity {left.arity} with arity {right.arity}"
         )
-    return PolynomialMap._raw(c.substitute(right.coords) for c in left.coords)
+    return PolynomialMap(c.substitute(right.coords) for c in left.coords)
 
 
 def compose_chain(maps):
@@ -174,6 +171,15 @@ def constant_jacobian(m):
     if j.is_zero() or not j.is_constant():
         return None
     return j.constant_term()
+
+
+def _require_constant_jacobian(m):
+    """Raise NotAnAutomorphism unless m has a nonzero constant Jacobian
+    determinant."""
+    if constant_jacobian(m) is None:
+        raise NotAnAutomorphism(
+            "the map does not have a nonzero constant Jacobian determinant"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def map_from_matrix(rows, constants=None):
         terms = dict(zip(units, rows[i]))
         terms[(0,) * n] = constants[i]
         coords.append(Polynomial(n, terms))
-    return PolynomialMap._raw(coords)
+    return PolynomialMap(coords)
 
 
 def _affine_matrix(m):
@@ -361,7 +367,7 @@ def invert_factor(m):
         xs = Polynomial.variables(m.arity)
         coords = list(xs)
         coords[i] = (xs[i] - data.addend) * _div(1, data.scale)
-        return PolynomialMap._raw(coords)
+        return PolynomialMap(coords)
     if cls is MapClass.TRIANGULAR:
         return _invert_triangular(m)
     raise WrongShape(f"cannot invert {m} without decomposing it")
@@ -426,14 +432,11 @@ class FactorChain:
         notes = tuple(notes)
         if len(notes) != len(factors):
             raise WrongShape("one note per factor, or none")
-        composed = (
-            identity_map(target.arity) if not factors else compose_chain(factors)
-        )
-        if composed != target:
-            raise WrongShape("factors do not compose to the target map")
         self.target = target
         self.factors = factors
         self.notes = notes
+        if self.composed() != target:
+            raise WrongShape("factors do not compose to the target map")
 
     @classmethod
     def _derived(cls, target, factors, notes=None):

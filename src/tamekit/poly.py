@@ -132,6 +132,27 @@ def _short_power(num, e):
     return dict(zip(zip(*cols), coeffs))
 
 
+def _int_power(arity, powers, e):
+    """The e-th power of ``powers[1]``, an int term dict, read from or
+    added to ``powers`` (exponent -> power; it holds 0 and 1 at least).
+
+    One- and two-term bases are written down by ``_short_power``; longer
+    ones (and zero) multiply the two cached halves of e, so a high power
+    costs O(log e) products and cache entries.
+    """
+    got = powers.get(e)
+    if got is None:
+        base = powers[1]
+        if 1 <= len(base) <= 2:
+            got = _short_power(base, e)
+        else:
+            half = e // 2
+            low, high = _int_power(arity, powers, half), _int_power(arity, powers, e - half)
+            got = _int_product(arity, low, high)
+        powers[e] = got
+    return got
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over Q."""
 
@@ -335,20 +356,9 @@ class Polynomial:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ArityMismatch(f"exponent must be a non-negative int, got {exponent!r}")
-        base = self._num
-        if 1 <= len(base) <= 2:
-            return Polynomial._raw(
-                self.arity, _short_power(base, exponent), self._den**exponent
-            )
-        result = {(0,) * self.arity: 1}
-        e = exponent
-        while e:
-            if e & 1:
-                result = _int_product(self.arity, result, base)
-            e >>= 1
-            if e:
-                base = _int_product(self.arity, base, base)
-        return Polynomial._raw(self.arity, result, self._den**exponent)
+        powers = {0: {(0,) * self.arity: 1}, 1: self._num}
+        num = _int_power(self.arity, powers, exponent)
+        return Polynomial._raw(self.arity, num, self._den**exponent)
 
     # ------------------------------------------------------------------
     # calculus and substitution
@@ -424,9 +434,7 @@ class Polynomial:
             for img in images
         ]
         one = {(0,) * target: 1}
-        # powers[k][e] is P_k ** e on ints, filled on demand: in closed
-        # form when P_k has one or two terms, else by halving e, so a high
-        # power costs O(log e) products and cache entries
+        # powers[k][e] is P_k ** e on ints, filled on demand by _int_power
         powers = [{0: one, 1: img._num} for img in lifted]
         den = self._den
         # (k, d_k, highest power of d_k any term needs) for each image
@@ -439,18 +447,6 @@ class Polynomial:
         for _, d, top in cleared:
             den *= d**top
 
-        def power(k, e):
-            cache = powers[k]
-            got = cache.get(e)
-            if got is None:
-                base = cache[1]
-                if 1 <= len(base) <= 2:
-                    got = cache[e] = _short_power(base, e)
-                else:
-                    half = e // 2
-                    got = cache[e] = _int_product(target, power(k, half), power(k, e - half))
-            return got
-
         last = self.arity - 1
         groups = {}
         for exps, c in self._num.items():
@@ -461,14 +457,14 @@ class Polynomial:
             if inner is None:
                 inner = groups[prefix] = {}
             get = inner.get
-            for key, v in power(last, exps[last]).items():
+            for key, v in _int_power(target, powers[last], exps[last]).items():
                 inner[key] = get(key, 0) + c * v
         acc = {}
         for prefix, inner in groups.items():
             factor = one
             for k, e in enumerate(prefix):
                 if e:
-                    more = power(k, e)
+                    more = _int_power(target, powers[k], e)
                     factor = more if factor is one else _int_product(target, factor, more)
             _convolve(target, inner, factor, acc)
         return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, den)

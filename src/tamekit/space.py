@@ -72,10 +72,10 @@ from .maps import (
     FactorChain,
     MapClass,
     PolynomialMap,
+    _require_constant_jacobian,
     _shape,
     classify_map,
     compose_chain,
-    constant_jacobian,
     map_from_matrix,
     matrix_det,
     matrix_inverse,
@@ -225,11 +225,11 @@ def _mixed_abc(w, shape_error):
     return a, b, c
 
 
-def _check_graded(m, cls):
-    """Raise unless m is a three-variable map graded for cls.weights;
-    Grading.is_graded_map raises ArityMismatch for any other arity."""
-    if not Grading(cls.weights).is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {cls.weights}")
+def _check_graded(m, weights):
+    """Raise NotGraded unless m is graded for weights; Grading.is_graded_map
+    raises ArityMismatch when m's arity is not the weight count."""
+    if not Grading(weights).is_graded_map(m):
+        raise NotGraded(f"{m} is not graded for weights {weights}")
 
 
 def _graded_chain(m, factors, weights, norm=None):
@@ -266,8 +266,7 @@ def split_z_scaling(m, weights):
         raise WrongShape(
             f"weights {w} must have the third negative and the others nonnegative"
         )
-    if not Grading(w).is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {w}")
+    _check_graded(m, w)
     return _split_z(m)
 
 
@@ -278,7 +277,7 @@ def _split_z(m):
         raise ThirdCoordinateNotScalar(
             f"third coordinate {m.coords[2]} is not a nonzero scalar multiple of z"
         )
-    return PolynomialMap._raw((_X, _Y, lam * _Z)), PolynomialMap._raw((*m.coords[:2], _Z))
+    return PolynomialMap((_X, _Y, lam * _Z)), PolynomialMap((*m.coords[:2], _Z))
 
 
 def restrict_to_plane(m):
@@ -289,7 +288,7 @@ def restrict_to_plane(m):
         raise LastVariableNotFixed(
             f"third coordinate must be z itself, got {m.coords[2]}"
         )
-    return PolynomialMap._raw(c.map_exponents(2, lambda e: e[:2]) for c in m.coords[:2])
+    return PolynomialMap(c.map_exponents(2, lambda e: e[:2]) for c in m.coords[:2])
 
 
 class ObstructionKind(enum.Enum):
@@ -344,7 +343,7 @@ def lift_plane_map(pm, weights):
         return LiftReport(
             False, LiftObstruction(ObstructionKind.FREE_TERM, 1, (0, 0))
         )
-    lifted = PolynomialMap._raw(
+    lifted = PolynomialMap(
         (
             _lift_coord(pm.coords[0], a, a, b, c),
             _lift_coord(pm.coords[1], b, a, b, c),
@@ -396,7 +395,7 @@ def wildness_certificate(m, weights):
     """Run the degree test for graded wildness against a graded map."""
     cls = classify_grading(weights)
     _mixed_abc(cls.normalized.weights, GcdPrecondition)
-    _check_graded(m, cls)
+    _check_graded(m, cls.weights)
     return _degree_test(cls, cls.normalized.to_normalized(m))
 
 
@@ -593,17 +592,15 @@ def decompose_positive(m, weights):
     and commuting single-variable shears per level.  A singular block
     proves the map is not an automorphism.
     """
-    w = _check_weights(weights)
-    if len(w) != m.arity:
+    given = _check_weights(weights)
+    if len(given) != m.arity:
         raise ArityMismatch(
-            f"{len(w)} weights for a map of arity {m.arity}"
+            f"{len(given)} weights for a map of arity {m.arity}"
         )
-    if all(v < 0 for v in w):
-        w = tuple(-v for v in w)
+    w = tuple(-v for v in given) if all(v < 0 for v in given) else given
     if not all(v > 0 for v in w):
-        raise WrongShape(f"weights {tuple(weights)} are not of one strict sign")
-    if not Grading(w).is_graded_map(m):
-        raise NotGraded(f"{m} is not graded for weights {tuple(weights)}")
+        raise WrongShape(f"weights {given} are not of one strict sign")
+    _check_graded(m, given)
     n = m.arity
     xs = Polynomial.variables(n)
     factors = []
@@ -625,7 +622,7 @@ def decompose_positive(m, weights):
         lin_coords = list(xs)
         for i, tail in zip(idxs, tails):
             lin_coords[i] = m.coords[i] - tail
-        factors.append(PolynomialMap._raw(lin_coords))
+        factors.append(PolynomialMap(lin_coords))
         inv = matrix_inverse(block)
         for r, i in enumerate(idxs):
             acc = Polynomial.zero(n)
@@ -633,7 +630,7 @@ def decompose_positive(m, weights):
                 acc = acc + inv[r][col] * tails[col]
             coords = list(xs)
             coords[i] = xs[i] + acc
-            factors.append(PolynomialMap._raw(coords))
+            factors.append(PolynomialMap(coords))
     return _graded_chain(m, factors, w)
 
 
@@ -706,12 +703,12 @@ def _zero_equal_pair(mm):
             A, B = A + C, B + D
             factors.append(PolynomialMap((_X - _Y, _Y, _Z)))
         elif C.degree_in(2) >= A.degree_in(2):
-            q, _ = _zdivmod(C, A)
-            C, D = C - q * A, D - q * B
+            q, C = _zdivmod(C, A)
+            D = D - q * B
             factors.append(PolynomialMap((_X, _Y + q * _X, _Z)))
         else:
-            q, _ = _zdivmod(A, C)
-            A, B = A - q * C, B - q * D
+            q, A = _zdivmod(A, C)
+            B = B - q * D
             factors.append(PolynomialMap((_X + q * _Y, _Y, _Z)))
     # row operations keep det, so A*D = det is a nonzero constant: A, D are too
     lamA = A.constant_value()
@@ -812,12 +809,9 @@ def decompose_zero_cases(m, weights):
         raise WrongShape(
             f"weights {cls.weights} must have a zero entry but not be entirely zero"
         )
-    _check_graded(m, cls)
+    _check_graded(m, cls.weights)
     mm = cls.normalized.to_normalized(m)
-    if constant_jacobian(mm) is None:
-        raise NotAnAutomorphism(
-            "the map does not have a nonzero constant Jacobian determinant"
-        )
+    _require_constant_jacobian(mm)
     factors = _ZERO_CASES[cls.zero_shape](mm)
     return _graded_chain(m, factors, cls.weights, cls.normalized)
 
@@ -965,7 +959,7 @@ def decompose_qhat_low(m, weights):
         raise WrongShape(
             f"pipeline assumes threshold exponent at most 1, got {cls.q_hat}"
         )
-    _check_graded(m, cls)
+    _check_graded(m, cls.weights)
     factors = _mixed_pipeline(cls, cls.normalized.to_normalized(m))
     return _graded_chain(m, factors, cls.weights, cls.normalized)
 
@@ -991,10 +985,7 @@ def _decompose_trivial(m):
     """The factors of m for zero weights: every map is graded, so only
     shaped cases decompose.  The constant Jacobian test runs first, as in
     decompose_zero_cases; every class but GENERAL is an automorphism."""
-    if constant_jacobian(m) is None:
-        raise NotAnAutomorphism(
-            "the map does not have a nonzero constant Jacobian determinant"
-        )
+    _require_constant_jacobian(m)
     cls = classify_map(m)
     if cls is MapClass.TRIANGULAR:
         return _split_triangular(m)
@@ -1022,7 +1013,7 @@ def decompose_graded(m, weights):
         return decompose_positive(m, cls.weights)
     if reason is GradingReason.ZERO_WEIGHT:
         return decompose_zero_cases(m, cls.weights)
-    _check_graded(m, cls)
+    _check_graded(m, cls.weights)
     mm = cls.normalized.to_normalized(m)
     if reason is GradingReason.TRIVIAL_GRADING:
         factors = _decompose_trivial(mm)

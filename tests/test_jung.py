@@ -11,7 +11,7 @@ from tamekit.errors import (
     NotGradedPlane,
     OriginNotPreserved,
 )
-from tamekit import jung
+from tamekit import maps
 from tamekit.grading import Grading, ResidueGrading
 from tamekit.jung import (
     decompose_plane,
@@ -254,20 +254,21 @@ def test_jacobian_rejections_do_not_render_the_map(monkeypatch):
     "m",
     [
         # second coordinate not linear in y once f is x
-        PolynomialMap((x + y**2, y + x**2)),
+        (PolynomialMap((x + y**2, y + x**2)), "not linear in y over K\\[x\\]"),
         # first coordinate with a vertex off the axes
-        PolynomialMap((x * y + x + y, y)),
+        (PolynomialMap((x * y + x + y, y)), "vertex off the axes"),
         # first coordinate of degree 2 on one axis
-        PolynomialMap((x**2, y)),
+        (PolynomialMap((x**2, y)), "degree 2 in one variable"),
         # a vanishing coordinate
-        PolynomialMap((x, Polynomial.zero(2))),
+        (PolynomialMap((x, Polynomial.zero(2))), "a coordinate vanished"),
         # a top edge with both exponents above 1
-        PolynomialMap((y**2 - x**3, y)),
+        (PolynomialMap((y**2 - x**3, y)), "neither edge exponent is 1"),
     ],
 )
 def test_descent_rejects_behind_a_passing_jacobian(monkeypatch, m):
     # the Jacobian precheck rejects each of these first; without it the
-    # descent's own shape checks have to
-    monkeypatch.setattr(jung, "constant_jacobian", lambda m: 1)
-    with pytest.raises(NotAnAutomorphism):
+    # descent's own shape checks have to, each row with its own reason
+    m, reason = m
+    monkeypatch.setattr(maps, "constant_jacobian", lambda m: 1)
+    with pytest.raises(NotAnAutomorphism, match=reason):
         decompose_plane(m)

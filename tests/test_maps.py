@@ -88,7 +88,7 @@ def test_perm_map_orientation():
 def test_apply_pulls_back():
     sigma = PolynomialMap((X + (X**2 - Y * Z) * Z, Y + 2 * (X**2 - Y * Z) * X + (X**2 - Y * Z) ** 2 * Z, Z))
     w = X**2 - Y * Z
-    assert sigma.apply(w) == w
+    assert w.substitute(sigma.coords) == w
 
 
 def test_classification_priority():
@@ -184,7 +184,22 @@ def test_factor_chain_empty_means_identity():
 
 
 def test_scalar_coordinate_becomes_a_constant():
-    assert PolynomialMap((1, x)).coords == (Polynomial.constant(2, 1), x)
+    # first or later; the type is checked because a bare scalar left in
+    # place would still compare equal to its constant
+    for coords, i in (((1, x), 0), ((X, Y, 3), 2), ((X, Y, Fraction(1, 2)), 2)):
+        lifted = PolynomialMap(coords).coords[i]
+        assert type(lifted) is Polynomial
+        assert lifted == Polynomial.constant(len(coords), coords[i])
+
+
+def test_polynomial_subclass_coordinate_is_accepted():
+    class Tagged(Polynomial):
+        __slots__ = ()
+
+    tagged = Tagged(3, {(0, 0, 1): 1})
+    m = PolynomialMap((X, Y, tagged))
+    assert m.coords[2] is tagged
+    assert m == identity_map(3)
 
 
 def test_invert_factor_returns_the_identity_itself():
