@@ -144,7 +144,7 @@ def decompose_plane(m, trace=None):
     return FactorChain._derived(m, factors, notes)
 
 
-def decompose_plane_origin(m, trace=None):
+def decompose_plane_origin(m):
     """decompose_plane for origin-preserving maps; every factor is too.
 
     The shears have no constant term, so every map the descent reaches
@@ -154,7 +154,7 @@ def decompose_plane_origin(m, trace=None):
     _check_plane(m)
     if not m.is_origin_preserving():
         raise OriginNotPreserved(f"{m} moves the origin")
-    return decompose_plane(m, trace)
+    return decompose_plane(m)
 
 
 def decompose_plane_graded(m, grading, trace=None):

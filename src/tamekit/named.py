@@ -76,15 +76,21 @@ def get_example(name):
         witness = wild_witness((a, b, -c))
         if not witness.verify():
             raise InvariantViolation(f"the witness {key} failed its own verification")
-        return NamedExample(
-            key,
-            witness.map,
-            witness.inverse,
-            f"Graded-wild witness for the weights ({a}, {b}, {-c}); its "
-            f"restricted drop term has total degree "
-            f"{witness.certificate.violating_degree}, below the tame bound "
-            f"{witness.certificate.threshold}.",
-        )
+        cert = witness.certificate
+        if cert is None:
+            # the trivial grading's witness is Nagata's pair, which has no
+            # degree certificate
+            notes = (
+                f"Graded-wild witness for the weights ({a}, {b}, {-c}): "
+                f"Nagata's automorphism, whose wildness is externally certified."
+            )
+        else:
+            notes = (
+                f"Graded-wild witness for the weights ({a}, {b}, {-c}); its "
+                f"restricted drop term has total degree {cert.violating_degree}, "
+                f"below the tame bound {cert.threshold}."
+            )
+        return NamedExample(key, witness.map, witness.inverse, notes)
     raise UnknownName(
         f"no example named {name!r}; known names: {', '.join(example_names())}"
     )

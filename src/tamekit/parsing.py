@@ -290,7 +290,7 @@ def parse_map(text):
     return PolynomialMap(coords)
 
 
-def parse_weights(text, count=None):
+def parse_weights(text):
     """Parse 'a,b,c' (parens and spaces tolerated) into an int tuple."""
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
@@ -303,8 +303,6 @@ def parse_weights(text, count=None):
             weights.append(int(piece))
         except ValueError:
             raise ParseError(f"weight {piece!r} is not an integer") from None
-    if count is not None and len(weights) != count:
-        raise ParseError(f"expected {count} weights, got {len(weights)}")
     return tuple(weights)
 
 

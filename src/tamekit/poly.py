@@ -5,8 +5,7 @@ denominator: ``_num`` maps exponent tuples to nonzero ints and ``_den``
 shares no factor with all of them, so two equal polynomials always have
 equal ``(_num, _den)``.  Every kernel works on these integers; the
 ``terms`` mapping of ``int``/``Fraction`` coefficients is a read-only
-view that builds each coefficient when it is read (it is ``_num``
-itself when the denominator is 1).
+view that builds each coefficient when it is read.
 
 Arity (number of variables) is explicit.  Mixing arities raises
 ArityMismatch instead of guessing.
@@ -204,7 +203,7 @@ class Polynomial:
     @property
     def terms(self):
         """Read-only {exponent tuple: int or Fraction coefficient}."""
-        return self._num if self._den == 1 else _Terms(self._num, self._den)
+        return _Terms(self._num, self._den)
 
     # ------------------------------------------------------------------
     # constructors

@@ -9,6 +9,8 @@ import pytest
 
 from tamekit import wild_witness
 
+from corpora import wild_triples
+
 VERDICTS = []
 
 
@@ -26,8 +28,6 @@ def wild_witnesses():
     """((a, b, c), wild_witness((a, b, -c))) for each of the 1527 wild
     triples of the criterion 3 sweep, in sweep order.  Built once for the
     session: criterion 4 verifies them and the witness golden renders them."""
-    from test_golden_witness import wild_triples
-
     return [((a, b, c), wild_witness((a, b, -c))) for a, b, c in wild_triples()]
 
 

@@ -11,7 +11,7 @@ from tamekit.errors import InvariantViolation
 from tamekit.maps import PolynomialMap, compose_chain, verify_inverse_pair
 from tamekit.parsing import parse_map
 from tamekit.poly import Polynomial
-from tamekit.space import wild_witness
+from tamekit.space import nagata_pair, wild_witness
 
 x, y, z = Polynomial.variables(3)
 
@@ -344,6 +344,10 @@ def test_example_command(capsys):
     data = json.loads(out)
     nag = parse_map(data["map"])
     assert verify_inverse_pair(nag, parse_map(data["inverse"]))
+    code, out, _ = run(capsys, "example", "witness(0,0,0)", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (parse_map(data["map"]), parse_map(data["inverse"])) == nagata_pair()
     code, _, err = run(capsys, "example", "nope")
     assert code == 64 and "known names" in err
 

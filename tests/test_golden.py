@@ -1,8 +1,9 @@
 """Golden outputs of the graded pipelines on the corpora of criteria 6-9.
 
-``render_golden`` replays the generators and seeds of acceptance
-criteria 6-9 and sends every map through each public graded entry point
-under its corpus weights, plus one non-graded copy of every tenth map.
+``render_golden`` takes the corpora of acceptance criteria 6-9 from
+``corpora.py``, which the acceptance suite reads too, and sends every
+map through each public graded entry point under its corpus weights,
+plus one non-graded copy of every tenth map.
 Each line holds what an entry point returned, rendered exactly (factor
 chains, lifts, obstructions, certificates, inverses), or the class name
 of the tamekit error it raised.  ``tests/golden/graded.txt`` is the
@@ -13,7 +14,6 @@ it only on purpose, with
 """
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +26,6 @@ from tamekit import (
     PolynomialMap,
     TamekitError,
     WildnessCertificate,
-    compose_chain,
     decompose_graded,
     decompose_plane_graded,
     decompose_positive,
@@ -42,12 +41,12 @@ from tamekit import (
     wildness_certificate,
 )
 
+from corpora import NONZERO, PIPELINES, lifting_maps, pipeline, pipeline_maps, scaling
+
 GOLDEN = Path(__file__).parent / "golden" / "graded.txt"
 
 u, v = Polynomial.variables(2)
 x, y, z = Polynomial.variables(3)
-
-NONZERO = [-3, -2, -1, 1, 2, 3]
 
 
 def _render(out):
@@ -110,45 +109,17 @@ def _space_lines(tag, weights, maps):
 
 def _corpus_6():
     w = (7, 2, -3)
-    rng = random.Random(723)
-
-    def liftable_plane_factor():
-        kind = rng.randrange(4)
-        c = rng.choice(NONZERO)
-        if kind == 0:
-            return PolynomialMap((u + c * v**5, v))
-        if kind == 1:
-            return PolynomialMap((u + c * v**8, v))
-        if kind == 2:
-            return PolynomialMap((u, v + c * u**2))
-        return PolynomialMap((rng.choice(NONZERO) * u, rng.choice(NONZERO) * v))
-
-    def graded_zfixed_factor():
-        kind = rng.randrange(4)
-        c = rng.choice(NONZERO)
-        if kind == 0:
-            return PolynomialMap((x + c * y**5 * z, y, z))
-        if kind == 1:
-            return PolynomialMap((x + c * y**8 * z**3, y, z))
-        if kind == 2:
-            return PolynomialMap((x, y + c * x**2 * z**4, z))
-        return PolynomialMap((rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, z))
-
+    plane_maps, space_maps = lifting_maps()
     lines = []
-    for k in range(200):
-        pm = compose_chain([liftable_plane_factor() for _ in range(rng.randrange(1, 5))])
+    for k, pm in enumerate(plane_maps):
         lines.append(f"lift#{k} {w}")
         lines.append(f"  lift: {_call(lift_plane_map, pm, w)}")
-    spaced = [
-        compose_chain([graded_zfixed_factor() for _ in range(rng.randrange(1, 5))])
-        for _ in range(200)
-    ]
-    for k, m in enumerate(spaced):
+    for k, m in enumerate(space_maps):
         back = lift_plane_map(restrict_to_plane(m), w)
         lines.append(f"restrict#{k} {w}")
         lines.append(f"  restrict: {_call(restrict_to_plane, m)}")
         lines.append(f"  relift: {'input' if back.lifted == m else _render(back)}")
-    lines.extend(_space_lines("space", w, spaced[:50]))
+    lines.extend(_space_lines("space", w, space_maps[:50]))
     for pm, weights in (
         (PolynomialMap((u + v**2, v)), w),
         (PolynomialMap((v, u)), (5, 2, -3)),
@@ -158,116 +129,6 @@ def _corpus_6():
         lines.append(f"fixed {weights} plane={pm.render()}")
         lines.append(f"  lift: {_call(lift_plane_map, pm, weights)}")
     return lines
-
-
-def _corpus_7():
-    rng = random.Random(110)
-
-    def zpoly():
-        while True:
-            p = Polynomial.zero(3)
-            for k in range(5):
-                c = rng.randrange(-3, 4)
-                if c:
-                    p = p + c * z**k
-            if not p.is_zero():
-                return p
-
-    def euclid_factor():
-        kind = rng.randrange(3)
-        if kind == 0:
-            return PolynomialMap((x + zpoly() * y, y, z))
-        if kind == 1:
-            return PolynomialMap((x, y + zpoly() * x, z))
-        return PolynomialMap((rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, z))
-
-    maps = [
-        compose_chain([euclid_factor() for _ in range(rng.randrange(1, 6))])
-        for _ in range(100)
-    ]
-    return _space_lines("euclid", (1, 1, 0), maps)
-
-
-def _pipeline_maps(seed, factor_fn, count=100):
-    rng = random.Random(seed)
-    return [
-        compose_chain([factor_fn(rng) for _ in range(rng.randrange(1, 6))])
-        for _ in range(count)
-    ]
-
-
-def _corpus_8():
-    def factor_1_1_1(rng):
-        kind = rng.randrange(5)
-        c = rng.choice(NONZERO)
-        if kind == 0:
-            return PolynomialMap((x + c * y**2 * z, y, z))
-        if kind == 1:
-            return PolynomialMap((x + c * y**3 * z**2, y, z))
-        if kind == 2:
-            return PolynomialMap((x, y + c * x**2 * z, z))
-        if kind == 3:
-            return PolynomialMap((y, x, z))
-        return PolynomialMap(
-            (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
-        )
-
-    def factor_5_2_3(rng):
-        kind = rng.randrange(4)
-        c = rng.choice(NONZERO)
-        if kind == 0:
-            return PolynomialMap((x + c * y**4 * z, y, z))
-        if kind == 1:
-            return PolynomialMap((x + c * y**7 * z**3, y, z))
-        if kind == 2:
-            return PolynomialMap((x, y + c * x * z, z))
-        return PolynomialMap(
-            (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
-        )
-
-    return _space_lines("qhat111", (1, 1, -1), _pipeline_maps(811, factor_1_1_1)) + (
-        _space_lines("qhat523", (5, 2, -3), _pipeline_maps(852, factor_5_2_3))
-    )
-
-
-def _corpus_9():
-    def factor_1_1_2(rng):
-        kind = rng.randrange(3)
-        if kind == 0:
-            while True:
-                a, b, c, d = (rng.randrange(-3, 4) for _ in range(4))
-                if a * d - b * c != 0:
-                    break
-            return PolynomialMap((a * x + b * y, c * x + d * y, rng.choice(NONZERO) * z))
-        if kind == 1:
-            q = Polynomial.zero(3)
-            for mon in (x**2, x * y, y**2):
-                q = q + rng.randrange(-3, 4) * mon
-            return PolynomialMap((x, y, z + q))
-        return PolynomialMap((x, y, rng.choice(NONZERO) * z))
-
-    def factor_1_2_3(rng):
-        kind = rng.randrange(4)
-        c = rng.choice(NONZERO)
-        if kind == 0:
-            return PolynomialMap(
-                (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
-            )
-        if kind == 1:
-            return PolynomialMap((x, y + c * x**2, z))
-        if kind == 2:
-            return PolynomialMap((x, y, z + c * x * y))
-        return PolynomialMap((x, y, z + c * x**3))
-
-    return _space_lines("pos112", (1, 1, 2), _pipeline_maps(912, factor_1_1_2)) + (
-        _space_lines("pos123", (1, 2, 3), _pipeline_maps(923, factor_1_2_3))
-    )
-
-
-def _scaling(rng):
-    return PolynomialMap(
-        (rng.choice(NONZERO) * x, rng.choice(NONZERO) * y, rng.choice(NONZERO) * z)
-    )
 
 
 def _corpus_shapes():
@@ -284,7 +145,7 @@ def _corpus_shapes():
     def factor_2_1_0(rng):
         kind = rng.randrange(4)
         if kind == 0:
-            return _scaling(rng)
+            return scaling(rng)
         if kind == 1:
             return PolynomialMap((x + zpoly(rng) * y**2, y, z))
         if kind == 2:
@@ -295,7 +156,7 @@ def _corpus_shapes():
         kind = rng.randrange(3)
         c = rng.choice(NONZERO)
         if kind == 0:
-            return _scaling(rng)
+            return scaling(rng)
         if kind == 1:
             return PolynomialMap((x, y + c * x**2 * z**3 + rng.randrange(-2, 3), z))
         return PolynomialMap((x, y + c * x**4 * z**6, z))
@@ -315,7 +176,7 @@ def _corpus_shapes():
         kind = rng.randrange(3)
         c = rng.choice(NONZERO)
         if kind == 0:
-            return _scaling(rng)
+            return scaling(rng)
         if kind == 1:
             return PolynomialMap((x + c * y**2, y, z))
         return PolynomialMap((x + c * y**4 * z, y, z))
@@ -324,7 +185,7 @@ def _corpus_shapes():
         kind = rng.randrange(3)
         c = rng.choice(NONZERO)
         if kind == 0:
-            return _scaling(rng)
+            return scaling(rng)
         if kind == 1:
             return PolynomialMap((x, y + c * x**2 * z**2, z))
         return PolynomialMap((x, y + c * x**4 * z**5, z))
@@ -361,7 +222,7 @@ def _corpus_shapes():
     )
     lines = []
     for tag, weights, seed, factor_fn, rejected in shapes:
-        maps = _pipeline_maps(seed, factor_fn, count=40) + list(rejected)
+        maps = pipeline_maps(seed, factor_fn, count=40) + list(rejected)
         lines.extend(_space_lines(tag, weights, maps))
     return lines
 
@@ -380,14 +241,11 @@ def _witness_lines():
 
 
 def render_golden():
-    lines = (
-        _corpus_6()
-        + _corpus_7()
-        + _corpus_8()
-        + _corpus_9()
-        + _corpus_shapes()
-        + _witness_lines()
-    )
+    lines = _corpus_6()
+    for tag in PIPELINES:
+        weights, maps = pipeline(tag)
+        lines.extend(_space_lines(tag, weights, maps))
+    lines += _corpus_shapes() + _witness_lines()
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Golden witnesses for every wild grading of criterion 4.
 
 ``render_witness_golden`` builds ``wild_witness`` for each of the 1527
-wild triples (a, b, -c) of criterion 3's a, b, c <= 40 sweep, in sweep
-order, and writes one line per triple: the threshold exponents, a
-SHA-256 of the rendered witness map and inverse, one of the rendered
-plane map and plane inverse, and the certificate fields.
+wild triples (a, b, -c) of criterion 3's a, b, c <= 40 sweep
+(``corpora.wild_triples``), in sweep order, and writes one line per
+triple: the threshold exponents, a SHA-256 of the rendered witness map
+and inverse, one of the rendered plane map and plane inverse, and the
+certificate fields.
 ``tests/golden/witness.txt`` is the expected output; a change to it is
 a change of behaviour.  Regenerate it only on purpose, with
 
@@ -19,34 +20,15 @@ import hashlib
 import os
 import subprocess
 import sys
-from math import gcd
 from pathlib import Path
 
 import tamekit
 from tamekit import wild_witness
 
+from corpora import wild_triples
+
 GOLDEN = Path(__file__).parent / "golden" / "witness.txt"
 SUBPROCESS_STEP = 10
-
-
-def _directly_wild(a, b, c):
-    # a = q*b + p*c with q >= 2 and p >= 1, by direct search
-    for q in range(2, (a - c) // b + 1):
-        rest = a - q * b
-        if rest >= c and rest % c == 0:
-            return True
-    return False
-
-
-def wild_triples():
-    return [
-        (a, b, c)
-        for a in range(1, 41)
-        for b in range(1, a + 1)
-        for c in range(1, 41)
-        if gcd(gcd(a, b), c) == 1 and gcd(a, c) == 1 and gcd(b, c) == 1
-        and _directly_wild(a, b, c)
-    ]
 
 
 def _digest(first, second):

@@ -6,7 +6,7 @@ their coefficients.  Here every factor of a sample of criterion 1's
 maps is checked by composing it with its inverse both ways instead.
 """
 
-import test_golden_plane
+import corpora
 from tamekit import decompose_plane, invert_factor
 from test_maps import literal_inverse_pair
 
@@ -14,6 +14,6 @@ STEP = 10
 
 
 def test_plane_corpus_factors_invert_literally():
-    for _, m in test_golden_plane.criterion_1_maps(STEP):
+    for _, m in corpora.criterion_1_maps(STEP):
         for f in decompose_plane(m).factors:
             assert literal_inverse_pair(f, invert_factor(f))

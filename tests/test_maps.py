@@ -202,6 +202,11 @@ def test_polynomial_subclass_coordinate_is_accepted():
     assert m == identity_map(3)
 
 
+def test_map_is_never_equal_to_a_non_map():
+    assert PolynomialMap((x, y)).__eq__("x") is NotImplemented
+    assert PolynomialMap((x, y)) != "x"
+
+
 def test_invert_factor_returns_the_identity_itself():
     ident = identity_map(2)
     assert invert_factor(ident) is ident

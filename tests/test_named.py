@@ -58,6 +58,10 @@ def test_witness_examples():
     assert "degree 3" in ex.notes
     ex = get_example("witness( 3 , 1 , 1 )")
     assert ex.map == wild_witness((3, 1, -1)).map
+    # the trivial grading's witness is Nagata's pair, with no certificate
+    ex = get_example("witness(0,0,0)")
+    assert (ex.map, ex.inverse) == nagata_pair()
+    assert "externally certified" in ex.notes
 
 
 def test_witness_example_refuses_a_witness_that_fails_verify(monkeypatch):

@@ -132,11 +132,9 @@ def test_parse_map_errors():
 def test_parse_weights():
     assert parse_weights("7,2,-3") == (7, 2, -3)
     assert parse_weights("(1, 1, 0)") == (1, 1, 0)
-    assert parse_weights(" 1 , 1 ", count=2) == (1, 1)
+    assert parse_weights(" 1 , 1 ") == (1, 1)
     with pytest.raises(ParseError):
         parse_weights("1,b,3")
-    with pytest.raises(ParseError):
-        parse_weights("1,2", count=3)
     with pytest.raises(ParseError):
         parse_weights("")
 

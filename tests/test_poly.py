@@ -30,6 +30,15 @@ def test_fraction_kept_when_needed():
     assert p.terms[(1, 0)] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("p", [x, Fraction(1, 6) * x], ids=["denominator-1", "denominator-6"])
+def test_terms_are_read_only(p):
+    before = dict(p.terms)
+    with pytest.raises(TypeError):
+        p.terms[(0, 3)] = 5
+    assert dict(p.terms) == before
+    assert dict(Polynomial.variables(2)[0].terms) == {(1, 0): 1}
+
+
 def test_float_rejected():
     with pytest.raises(TypeError):
         Polynomial(2, {(1, 0): 0.5})

@@ -68,6 +68,8 @@ from tamekit.space import (
     wildness_certificate,
 )
 
+from corpora import wild_triples
+
 x, y, z = Polynomial.variables(3)
 u, v = Polynomial.variables(2)
 
@@ -349,17 +351,13 @@ def test_witness_drop_term_structure():
 
 
 def _witness_classes(max_sum):
-    """One wild triple of criterion 3's a, b, c <= 40 sweep for each
+    """The first wild triple of criterion 3's a, b, c <= 40 sweep in each
     (q_hat, l_hat) class with q_hat + l_hat <= max_sum."""
     reps = {}
-    for a in range(1, 41):
-        for b in range(1, a + 1):
-            for c in range(1, 41):
-                if gcd(gcd(a, b), c) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
-                    continue
-                cls = classify_grading((a, b, -c))
-                if cls.admits_wild and cls.q_hat + cls.l_hat <= max_sum:
-                    reps.setdefault((cls.q_hat, cls.l_hat), (a, b, -c))
+    for a, b, c in wild_triples():
+        cls = classify_grading((a, b, -c))
+        if cls.q_hat + cls.l_hat <= max_sum:
+            reps.setdefault((cls.q_hat, cls.l_hat), (a, b, -c))
     return reps
 
 

@@ -1,10 +1,12 @@
-"""Count the lines of each module of src/tamekit.
+"""Count the lines of each module of src/tamekit, then of tests/*.py.
 
 Usage, from the root of a checkout:
 
     python tests/tools/src_lines.py
 
-Prints one row per module and a total: physical lines, and code lines,
+Prints two tables, one for ``src/tamekit`` and one for the top-level
+modules of ``tests`` (not ``tests/tools``), each with one row per module
+and a total: physical lines, and code lines,
 which leave out blank lines, comment-only lines and the lines of
 docstrings (the first string statement of a module, class or function).
 A line that holds code and a comment counts as code.  Standard library
@@ -19,6 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "tamekit"
+TESTS = ROOT / "tests"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -55,8 +58,8 @@ def count(source):
     return len(source.splitlines()), len(code)
 
 
-def main():
-    rows = [(p.name, *count(p.read_text())) for p in sorted(PACKAGE.glob("*.py"))]
+def print_table(directory):
+    rows = [(p.name, *count(p.read_text())) for p in sorted(directory.glob("*.py"))]
     width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
     print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}")
     for name, physical, code in rows:
@@ -64,6 +67,12 @@ def main():
     total_physical = sum(r[1] for r in rows)
     total_code = sum(r[2] for r in rows)
     print(f"{'total':<{width}}  {total_physical:>8}  {total_code:>6}")
+
+
+def main():
+    print_table(PACKAGE)
+    print()
+    print_table(TESTS)
 
 
 if __name__ == "__main__":
