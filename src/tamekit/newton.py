@@ -1,13 +1,15 @@
 """Newton polygons of plane polynomials and top-edge analysis.
 
 The polygon of f is the convex hull of its exponent support together
-with the origin; newton_polygon builds it and newton_area measures it,
-for traces and the CLI.  For a coordinate of a plane automorphism the
-polygon is a (possibly degenerate) right triangle with legs on the axes
-and a top edge whose terms form a scaled power of a binomial.
-analyze_top_edge reads that shape off the support without building the
-hull, and extracts the edge or reports the obstruction that rules the
-polynomial out; it alone decides each step of the plane descent.
+with the origin; newton_polygon builds it.  For a coordinate of a plane
+automorphism the polygon is a (possibly degenerate) right triangle with
+legs on the axes and a top edge whose terms form a scaled power of a
+binomial.  _triangle reads in one pass over the support whether it
+lies in that triangle.  analyze_top_edge then extracts the edge or
+reports the obstruction that rules the polynomial out; it alone decides
+each step of the plane descent.  newton_area, for traces and the CLI,
+reads the triangle's area off its legs and builds the hull only for a
+support that leaves the triangle.
 """
 
 from __future__ import annotations
@@ -69,7 +71,34 @@ def polygon_area(vertices):
     return Fraction(abs(twice), 2)
 
 
+def _triangle(num):
+    """(P, Q, off, inside) for a nonzero plane support: P and Q the
+    largest powers of x alone and of y alone, off the exponents on
+    neither axis, and inside whether the support lies in the closed
+    triangle (0, 0), (P, 0), (0, Q), which is then its Newton polygon.
+    With P*Q > 0 that is Q*i + P*j <= P*Q for every exponent (i, j);
+    otherwise the triangle lies on an axis and no exponent may be off."""
+    big_p = big_q = 0
+    off = []
+    for e in num:
+        i, j = e
+        if i and j:
+            off.append(e)
+        elif i > big_p:  # past the first test, i > 0 means j == 0
+            big_p = i
+        elif j > big_q:
+            big_q = j
+    pq = big_p * big_q
+    inside = all(big_q * i + big_p * j <= pq for i, j in off) if pq else not off
+    return big_p, big_q, off, inside
+
+
 def newton_area(f):
+    """The polygon's exact area: P*Q/2 inside the axis triangle, else
+    the hull's shoelace area."""
+    big_p, big_q, _, inside = _triangle(_plane_support(f))
+    if inside:
+        return Fraction(big_p * big_q, 2)
     return polygon_area(newton_polygon(f))
 
 
@@ -118,20 +147,16 @@ def analyze_top_edge(f):
     else an Obstruction.
     """
     num = _plane_support(f)
-    big_p = max((i for i, j in num if not j), default=0)
-    big_q = max((j for i, j in num if not i), default=0)
-    off = [e for e in num if e[0] and e[1]]
-    if not (big_p and big_q):
-        if not off:
-            if big_q:
-                return AxisSegment(1, big_q)
-            return AxisSegment(0, big_p) if big_p else Obstruction("constant polynomial")
+    big_p, big_q, off, inside = _triangle(num)
+    if not inside:
         i0, j0 = off[0]
         if not (big_p or big_q) and all(i * j0 == j * i0 for i, j in off):
             return Obstruction("support lies on a line off the axes")
         return Obstruction("polygon has a vertex off the axes")
-    if any(big_q * i + big_p * j > big_p * big_q for i, j in off):
-        return Obstruction("polygon has a vertex off the axes")
+    if not (big_p and big_q):
+        if big_q:
+            return AxisSegment(1, big_q)
+        return AxisSegment(0, big_p) if big_p else Obstruction("constant polynomial")
     mult = gcd(big_p, big_q)
     p = big_p // mult
     q = big_q // mult

@@ -44,7 +44,7 @@ def _coerce(value):
 
 def _div(num, den):
     # the exact quotient num / den of two scalars, in boundary form
-    return _coerce(Fraction(num) / Fraction(den))
+    return _coerce(Fraction(num, den))
 
 
 def _scalar(num, den):
@@ -469,10 +469,15 @@ class Polynomial:
         return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, den)
 
     def _sheared(self, s, q, rn, rd):
-        """self at x_s -> x_s + (rn/rd)*x_o^q, x_o -> x_o (o = 1 - s): each
-        term c*x_s^i*x_o^j is the binomial row sum_k C(i, k)*r^(i-k)*x_s^k*
-        x_o^(j + q(i-k)), on integer numerators over den*rd^top (top = max i)."""
+        """self at x_s -> x_s + (rn/rd)*x_o^q, x_o -> x_o (o = 1 - s), for
+        ``substitute`` and the plane descent: each term c*x_s^i*x_o^j is the
+        binomial row sum_k C(i, k)*r^(i-k)*x_s^k*x_o^(j + q(i-k)), on
+        integer numerators over den*rd^top (top = max i).  The powers of rn
+        and rd up to top are built once; rows are keyed (k, x_o exponent),
+        which is (x, y) order when s = 0."""
         top = max((e[s] for e in self._num), default=0)
+        rpow = [rn**k for k in range(top + 1)]
+        dpow = [rd**k for k in range(top + 1)]
         rows, acc = {}, {}
         get = acc.get
         for e, c in self._num.items():
@@ -480,13 +485,16 @@ class Polynomial:
             row = rows.get(i)
             if row is None:
                 row = rows[i] = [
-                    comb(i, k) * rn ** (i - k) * rd ** (top - i + k) for k in range(i + 1)
+                    comb(i, k) * rpow[i - k] * dpow[top - i + k] for k in range(i + 1)
                 ]
             for k, v in enumerate(row):
                 key = (k, jq - q * k)
                 acc[key] = get(key, 0) + c * v
-        num = {(e[s], e[1 - s]): c for e, c in acc.items() if c}
-        return Polynomial._raw(2, num, self._den * rd**top)
+        if s:
+            num = {(j, k): c for (k, j), c in acc.items() if c}
+        else:
+            num = {e: c for e, c in acc.items() if c}
+        return Polynomial._raw(2, num, self._den * dpow[top])
 
     # ------------------------------------------------------------------
     # comparison and display

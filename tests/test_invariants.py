@@ -150,7 +150,8 @@ def test_area_that_fails_to_shrink_is_an_invariant_violation(monkeypatch, capsys
     def identity_first(edge):
         calls.append(edge)
         if len(calls) == 1:
-            return identity_map(2), identity_map(2), ""
+            # the identity shear x -> x + 0*y^0 leaves the area as it is
+            return (0, 0, 0, 1), identity_map(2), ""
         return shear(edge)
 
     monkeypatch.setattr(tamekit.jung, "_shear_for_edge", identity_first)

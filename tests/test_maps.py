@@ -175,6 +175,11 @@ def test_singular_linear_and_affine_maps_are_general():
         assert classify_map(m) is MapClass.GENERAL, m
         with pytest.raises(WrongShape):
             invert_factor(m)
+        # the pair check reads the affine matrix without its determinant,
+        # and no candidate passes for a singular one
+        for inv in (identity_map(2), m, PolynomialMap((x - y, y))):
+            assert not verify_inverse_pair(m, inv)
+            assert not literal_inverse_pair(m, inv)
 
 
 def test_factor_chain_empty_means_identity():

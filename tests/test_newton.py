@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from tamekit.errors import ArityMismatch, ZeroPolynomial
 from tamekit.grading import Grading
@@ -119,10 +119,16 @@ def test_obstruction_line_off_axes():
         # both axis corners, but a term beyond the line between them
         (x + y + x * y, "polygon has a vertex off the axes"),
         (x**2 + y**3 + x * y**2, "polygon has a vertex off the axes"),
+        # a ray through the origin with no constant term
+        (x * y**2 + 2 * x**2 * y**4, "support lies on a line off the axes"),
+        # of two terms off the axes, one inside the triangle and one beyond
+        (x**3 + y**3 + x * y + x**2 * y**2, "polygon has a vertex off the axes"),
     ],
 )
 def test_obstruction_reasons(f, reason):
+    # newton_area decides these supports from the same triangle reading
     assert analyze_top_edge(f).reason == reason
+    assert newton_area(f) == polygon_area(newton_polygon(f))
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +315,20 @@ cornered = st.tuples(st.integers(1, 6), st.integers(1, 6), polys).map(
 def test_top_edge_matches_the_hull_oracle(f):
     if not f.is_zero():
         assert _record(analyze_top_edge(f)) == _record(_hull_oracle(f))
+
+
+# ---------------------------------------------------------------------------
+# the area read off the axis triangle against the hull it skips
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(polys, cornered))
+@example(x**3 + y**2 + x * y - 1)  # inside its axis triangle: area 3
+@example(x**2 + y**2 + x**2 * y)  # a vertex off the triangle
+@example(y**4 - 2 * y)  # on one axis: area 0
+@example(Polynomial.constant(2, 5))  # a constant: area 0
+def test_area_matches_the_hull(f):
+    if not f.is_zero():
+        assert newton_area(f) == polygon_area(newton_polygon(f))
+
