@@ -8,6 +8,11 @@ plane decompose and refused (exit 64) by the commands that need exact
 weights.  lift reads its weights (a, b, -c) from --grading alone, since
 a plane document holds two.  Every command accepts --json.
 
+Malformed input exits 64, and so does input that is over-deep or
+over-long: parentheses nested past 100 levels, JSON nested past the
+interpreter's recursion limit, an integer literal past its limit on
+decimal digits, or an '@file' that is not UTF-8.
+
 Exit codes:
     0   success (including "true" answers and inconclusive certificates)
     1   not an automorphism (including a false verify)
@@ -43,7 +48,7 @@ from .jung import (
 )
 from .maps import classify_map, compose_chain, verify_inverse_pair
 from .named import example_names, get_example
-from .newton import newton_area, newton_polygon, polygon_area
+from .newton import newton_polygon, polygon_area
 from .parsing import MapDocument, parse_map, parse_polynomial, parse_weights
 from .space import (
     WildnessCertificate,
@@ -60,8 +65,11 @@ from .space import (
 def _load_map(text):
     """A map argument plus its JSON document, when it came as one."""
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{text[1:]} is not UTF-8 text: {exc}") from None
     stripped = text.strip()
     if stripped.startswith("{"):
         doc = MapDocument.from_json(stripped)
@@ -228,7 +236,10 @@ def _cmd_decompose(args):
             return 4
         chain = result
     if args.trace_svg:
-        _write_trace_svg(args.trace_svg, steps)
+        _write_svg(args.trace_svg, [
+            (cur.coords[0], f"step {k}: area {area}")
+            for k, (cur, area) in enumerate(steps)
+        ])
     rendered = [f.render() for f in chain.factors]
     if not rendered:
         lines = ["identity (no factors)"]
@@ -361,7 +372,7 @@ def _cmd_polygon(args):
     ]
     payload = {"vertices": [list(p) for p in hull], "area": str(area)}
     if args.svg:
-        _write_polygon_svg(args.svg, poly)
+        _write_svg(args.svg, [(poly, f"area {area}")])
         lines.append(f"wrote {args.svg}")
     _emit(args, lines, payload)
     return 0
@@ -469,31 +480,37 @@ def _write_svg(path, panel_inputs):
         handle.write(document)
 
 
-def _write_polygon_svg(path, poly):
-    _write_svg(path, [(poly, f"area {newton_area(poly)}")])
-
-
-def _write_trace_svg(path, steps):
-    panel_inputs = [
-        (cur.coords[0], f"step {k}: area {area}")
-        for k, (cur, area) in enumerate(steps)
-    ]
-    _write_svg(path, panel_inputs)
-
-
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _add_map_argument(sub, name="map"):
-    sub.add_argument(name, help="inline '(f, g[, h])', JSON '{...}', or '@file'")
+_MAP = ("map", {"help": "inline '(f, g[, h])', JSON '{...}', or '@file'"})
+_GRADING = ("--grading", {"metavar": "W", "help": "comma-separated weights, e.g. 7,2,-3"})
+_WEIGHTS = (("a", {"type": int}), ("b", {"type": int}), ("c", {"type": int}))
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
 
-
-def _add_common(sub, grading=False):
-    if grading:
-        sub.add_argument(
-            "--grading", metavar="W", help="comma-separated weights, e.g. 7,2,-3"
-        )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+# (name, help, arguments); every command also takes --json, and its
+# handler is _cmd_<name>
+_COMMANDS = (
+    ("verify", "inverse-pair or automorphism check",
+     (_MAP, ("inverse", {"nargs": "?", "help": "candidate inverse map"}), _GRADING)),
+    ("compose", "compose maps, applied right to left",
+     (("maps", {"nargs": "+", "help": "maps, leftmost applied last"}),)),
+    ("invert", "exact inverse via factorization", (_MAP, _GRADING)),
+    ("decompose", "factor into elementary and linear maps", (_MAP, ("--trace-svg", {
+        "metavar": "PATH",
+        "help": "write the plane descent trace as SVG (two-variable maps)"}), _GRADING)),
+    ("classify", "does a grading admit wild maps?", _WEIGHTS),
+    ("witness", "build a graded-wild automorphism", _WEIGHTS + (
+        ("--check", {"action": "store_true", "help": "run the full verification"}),)),
+    ("lift", "lift a plane map to three variables", (_MAP, _GRADING)),
+    ("restrict", "restrict to the slice z = 1", (_MAP,)),
+    ("certify-wild", "low-degree monomial test for wildness", (_MAP, _GRADING)),
+    ("polygon", "Newton polygon of a plane polynomial", (
+        ("polynomial", {"help": "inline polynomial in two variables"}),
+        ("--svg", {"metavar": "PATH", "help": "write the polygon as SVG"}))),
+    ("example", "named example maps",
+     (("name", {"nargs": "?", "help": "example name; omit to list"}),)),
+)
 
 
 def _build_parser():
@@ -504,80 +521,12 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("verify", help="inverse-pair or automorphism check")
-    _add_map_argument(sub)
-    sub.add_argument("inverse", nargs="?", help="candidate inverse map")
-    _add_common(sub, grading=True)
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = commands.add_parser("compose", help="compose maps, applied right to left")
-    sub.add_argument("maps", nargs="+", help="maps, leftmost applied last")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_compose)
-
-    sub = commands.add_parser("invert", help="exact inverse via factorization")
-    _add_map_argument(sub)
-    _add_common(sub, grading=True)
-    sub.set_defaults(handler=_cmd_invert)
-
-    sub = commands.add_parser(
-        "decompose", help="factor into elementary and linear maps"
-    )
-    _add_map_argument(sub)
-    sub.add_argument(
-        "--trace-svg",
-        metavar="PATH",
-        help="write the plane descent trace as SVG (two-variable maps)",
-    )
-    _add_common(sub, grading=True)
-    sub.set_defaults(handler=_cmd_decompose)
-
-    sub = commands.add_parser("classify", help="does a grading admit wild maps?")
-    sub.add_argument("a", type=int)
-    sub.add_argument("b", type=int)
-    sub.add_argument("c", type=int)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_classify)
-
-    sub = commands.add_parser("witness", help="build a graded-wild automorphism")
-    sub.add_argument("a", type=int)
-    sub.add_argument("b", type=int)
-    sub.add_argument("c", type=int)
-    sub.add_argument(
-        "--check", action="store_true", help="run the full verification"
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_witness)
-
-    sub = commands.add_parser("lift", help="lift a plane map to three variables")
-    _add_map_argument(sub)
-    _add_common(sub, grading=True)
-    sub.set_defaults(handler=_cmd_lift)
-
-    sub = commands.add_parser("restrict", help="restrict to the slice z = 1")
-    _add_map_argument(sub)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_restrict)
-
-    sub = commands.add_parser(
-        "certify-wild", help="low-degree monomial test for wildness"
-    )
-    _add_map_argument(sub)
-    _add_common(sub, grading=True)
-    sub.set_defaults(handler=_cmd_certify_wild)
-
-    sub = commands.add_parser("polygon", help="Newton polygon of a plane polynomial")
-    sub.add_argument("polynomial", help="inline polynomial in two variables")
-    sub.add_argument("--svg", metavar="PATH", help="write the polygon as SVG")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_polygon)
-
-    sub = commands.add_parser("example", help="named example maps")
-    sub.add_argument("name", nargs="?", help="example name; omit to list")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_example)
-
+    for name, help_text, arguments in _COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for flag, options in arguments + (_JSON,):
+            sub.add_argument(flag, **options)
+        # looked up per build, so a replaced handler is the one that runs
+        sub.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 

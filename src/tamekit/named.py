@@ -56,7 +56,10 @@ _BUILDERS = {
     "nagata-inverse": _build_nagata_inverse,
 }
 
-_WITNESS_PATTERN = re.compile(r"witness\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\Z")
+# at most 640 digits, the least limit the interpreter may set on reading an int
+_WITNESS_PATTERN = re.compile(
+    r"witness\(\s*(\d{1,640})\s*,\s*(\d{1,640})\s*,\s*(\d{1,640})\s*\)\Z"
+)
 
 
 def example_names():

@@ -6,6 +6,10 @@ for powers, and parentheses.  Two-variable text uses either x, y or
 u, v; three-variable text always uses x, y, z.  The JSON document form
 carries explicit variable names next to the coordinate strings, plus an
 optional grading, so files round-trip exactly.
+
+Every text, inline or a document coordinate, becomes a polynomial
+through one ``_ExprParser`` over the text's tokens and its variable
+names; inline text takes its names from ``_resolve_names``.
 """
 
 import json
@@ -21,7 +25,9 @@ from .poly import DEFAULT_NAMES, Polynomial
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[+\-*/^(),])")
 _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
+_FAMILIES = {"x": "xyz", "y": "xyz", "z": "xyz", "u": "uv", "v": "uv"}
 _MIXED_NAMES = "mixing u, v with x, y, z in one expression"
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -51,58 +57,59 @@ def _tokenize(text):
             op = "^" if match.group(3) == "**" else match.group(3)
             tokens.append(_Token("op", op, pos))
         pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    # blank text is reported empty at column 0
+    tokens.append(_Token("end", "", len(text) if tokens else 0))
     return tokens
 
 
 def _resolve_names(tokens, arity):
-    """Map the variable names appearing in ``tokens`` to indices.
+    """The variable names of inline text, in index order.
 
-    Returns (mapping, arity); ``arity`` may come in as None, in which
-    case it is inferred: the z alphabet forces three variables, u, v or
-    plain x, y give two.
+    ``arity`` may come in as None, in which case it is inferred: the z
+    alphabet forces three variables, u, v or plain x, y give two.  Names
+    from neither alphabet are left for the parser to reject.
     """
-    committed = None
-    saw_z = None
+    family = first = saw_z = None
     for tok in tokens:
-        if tok.kind != "name":
+        this = _FAMILIES.get(tok.text)
+        if this is None:
             continue
-        if tok.text in ("x", "y", "z"):
-            if committed == "uv":
-                raise ParseError(_MIXED_NAMES, position=tok.position)
-            committed = "xyz"
-            if tok.text == "z":
-                saw_z = tok
-        elif tok.text in ("u", "v"):
-            if committed == "xyz":
-                raise ParseError(_MIXED_NAMES, position=tok.position)
-            committed = "uv"
-        else:
-            raise ParseError(
-                f"unknown variable {tok.text!r}", position=tok.position
-            )
+        if family not in (None, this):
+            raise ParseError(_MIXED_NAMES, position=tok.position)
+        family, first = this, first or tok
+        if tok.text == "z":
+            saw_z = tok
     if arity is None:
         arity = 3 if saw_z is not None else 2
     if arity == 3:
-        if committed == "uv":
+        if family == "uv":
             raise ParseError(
-                "three-variable text uses x, y, z",
-                position=next(t for t in tokens if t.kind == "name").position,
+                "three-variable text uses x, y, z", position=first.position
             )
-        return {"x": 0, "y": 1, "z": 2}, 3
+        return ("x", "y", "z")
     if arity == 2:
         if saw_z is not None:
             raise ParseError(
                 "z is not available in two variables", position=saw_z.position
             )
-        if committed == "uv":
-            return {"u": 0, "v": 1}, 2
-        return {"x": 0, "y": 1}, 2
+        return ("u", "v") if family == "uv" else ("x", "y")
     raise ParseError(f"inline text supports two or three variables, not {arity}")
 
 
+def _integer(tok):
+    """The value of an integer literal token."""
+    try:
+        return int(tok.text)
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is too long",
+            position=tok.position,
+        ) from None
+
+
 class _ExprParser:
-    """Recursive-descent parser over a token window.
+    """Recursive-descent parser over a token window, in the variables
+    ``names`` (index order).
 
     Grammar, loosest binding first:
 
@@ -110,13 +117,17 @@ class _ExprParser:
         term   := factor (* factor)*
         factor := atom [^ INT]
         atom   := INT [/ INT] | NAME | ( expr )
+
+    Parentheses nest at most _MAX_DEPTH deep, well inside the
+    interpreter's recursion limit.
     """
 
-    def __init__(self, tokens, mapping, arity):
+    def __init__(self, tokens, names):
         self.tokens = tokens
-        self.mapping = mapping
-        self.arity = arity
+        self.mapping = {name: i for i, name in enumerate(names)}
+        self.arity = len(names)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -131,6 +142,9 @@ class _ExprParser:
         return tok.kind == "op" and tok.text in texts
 
     def parse(self):
+        tok = self.peek()
+        if tok.kind == "end":
+            raise ParseError("empty polynomial", position=tok.position)
         poly = self.expr()
         tok = self.peek()
         if tok.kind != "end":
@@ -183,13 +197,13 @@ class _ExprParser:
                     position=caret.position,
                 )
             self.take()
-            poly = poly ** int(tok.text)
+            poly = poly ** _integer(tok)
         return poly
 
     def atom(self):
         tok = self.take()
         if tok.kind == "int":
-            value = int(tok.text)
+            value = _integer(tok)
             if self._is_op("/"):
                 slash = self.take()
                 den = self.peek()
@@ -199,16 +213,27 @@ class _ExprParser:
                         position=slash.position,
                     )
                 self.take()
-                if int(den.text) == 0:
+                if _integer(den) == 0:
                     raise ParseError(
                         "zero denominator", position=den.position
                     )
-                value = Fraction(value, int(den.text))
+                value = Fraction(value, _integer(den))
             return Polynomial.constant(self.arity, value)
         if tok.kind == "name":
+            if tok.text not in self.mapping:
+                raise ParseError(
+                    f"unknown variable {tok.text!r}", position=tok.position
+                )
             return Polynomial.variable(self.arity, self.mapping[tok.text])
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_DEPTH}",
+                    position=tok.position,
+                )
+            self.depth += 1
             poly = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if not self._is_op(")"):
                 raise ParseError(
@@ -227,10 +252,7 @@ def parse_polynomial(text, arity=None):
     variables, otherwise two.  Constants parse at arity 2 by default.
     """
     tokens = _tokenize(text)
-    if tokens[0].kind == "end":
-        raise ParseError("empty polynomial", position=0)
-    mapping, arity = _resolve_names(tokens, arity)
-    return _ExprParser(tokens, mapping, arity).parse()
+    return _ExprParser(tokens, _resolve_names(tokens, arity)).parse()
 
 
 def _split_coordinates(tokens):
@@ -240,54 +262,37 @@ def _split_coordinates(tokens):
         raise ParseError(
             "a map is a parenthesised list of coordinates", position=first.position
         )
-    spans = []
-    start = 1
-    depth = 1
-    for i in range(1, len(tokens)):
-        tok = tokens[i]
+    windows = []
+    start = depth = 1
+    for i, tok in enumerate(tokens[1:], 1):
         if tok.kind == "end":
             raise ParseError("expected a closing parenthesis", position=tok.position)
         if tok.kind != "op":
             continue
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            depth -= 1
-            if depth == 0:
-                spans.append((start, i))
-                if tokens[i + 1].kind != "end":
-                    raise ParseError(
-                        f"unexpected {tokens[i + 1].text!r} after the map",
-                        position=tokens[i + 1].position,
-                    )
-                break
-        elif tok.text == "," and depth == 1:
-            spans.append((start, i))
+        depth += {"(": 1, ")": -1}.get(tok.text, 0)
+        if depth == 0 or (depth == 1 and tok.text == ","):
+            windows.append(tokens[start:i] + [_Token("end", "", tok.position)])
             start = i + 1
-    windows = []
-    for lo, hi in spans:
-        if lo == hi:
-            raise ParseError(
-                "empty coordinate", position=tokens[lo].position
-            )
-        windows.append(tokens[lo:hi] + [_Token("end", "", tokens[hi].position)])
-    return windows
+        if depth == 0:
+            after = tokens[start]
+            if after.kind != "end":
+                raise ParseError(
+                    f"unexpected {after.text!r} after the map", position=after.position
+                )
+            return windows
 
 
 def parse_map(text):
     """Parse '(f, g)' or '(f, g, h)' into a PolynomialMap."""
     tokens = _tokenize(text)
-    if tokens[0].kind == "end":
-        raise ParseError("empty map", position=0)
     windows = _split_coordinates(tokens)
     if len(windows) not in (2, 3):
         raise ParseError(
             f"a map needs two or three coordinates, got {len(windows)}",
             position=tokens[0].position,
         )
-    mapping, arity = _resolve_names(tokens, len(windows))
-    coords = [_ExprParser(w, mapping, arity).parse() for w in windows]
-    return PolynomialMap(coords)
+    names = _resolve_names(tokens, len(windows))
+    return PolynomialMap([_ExprParser(w, names).parse() for w in windows])
 
 
 def parse_weights(text):
@@ -335,9 +340,11 @@ class MapDocument:
 
     @classmethod
     def from_json(cls, text):
+        # JSONDecodeError and over-long integers are ValueErrors; arrays
+        # nested past the interpreter's recursion limit raise RecursionError
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"not valid JSON: {exc}") from None
         _require(isinstance(data, dict), "a map document is a JSON object")
         extra = set(data) - {"vars", "coords", "grading"}
@@ -409,20 +416,9 @@ class MapDocument:
         )
 
     def to_map(self):
-        mapping = {name: i for i, name in enumerate(self.vars)}
-        arity = len(self.vars)
-        coords = []
-        for text in self.coords:
-            tokens = _tokenize(text)
-            if tokens[0].kind == "end":
-                raise ParseError("empty coordinate", position=0)
-            for tok in tokens:
-                if tok.kind == "name" and tok.text not in mapping:
-                    raise ParseError(
-                        f"unknown variable {tok.text!r}", position=tok.position
-                    )
-            coords.append(_ExprParser(tokens, mapping, arity).parse())
-        return PolynomialMap(coords)
+        return PolynomialMap(
+            [_ExprParser(_tokenize(text), self.vars).parse() for text in self.coords]
+        )
 
     def grading(self):
         if self.weights is None:

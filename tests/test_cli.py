@@ -1,6 +1,8 @@
 """Command-line interface: outputs and the exit-code contract."""
 
+import argparse
 import json
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -361,6 +363,132 @@ def test_usage_errors(capsys):
     assert code == 0
     code, _, err = run(capsys, "restrict", "@/nonexistent/path.json")
     assert code == 64 and "error:" in err
+
+
+LONG_LITERAL = "1" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter reads integer literals of any length",
+)
+
+
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_bytes(b"(x + y\xff, y)")
+    return f"@{path}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the outer map parenthesis, then one level past the parser's bound of 100
+        pytest.param(
+            lambda _: ["verify", "(" * 102 + "x" + ")" * 101 + ", y)"],
+            id="nested-parentheses",
+        ),
+        pytest.param(
+            lambda _: ["verify", '{"vars": ' + "[" * 2000 + "]" * 2000 + "}"],
+            id="nested-json",
+        ),
+        pytest.param(
+            lambda _: ["verify", f"(x + {LONG_LITERAL}, y)"],
+            id="long-literal",
+            marks=needs_digit_limit,
+        ),
+        pytest.param(
+            lambda _: ["example", f"witness({LONG_LITERAL},1,1)"],
+            id="long-example-weight",
+            marks=needs_digit_limit,
+        ),
+        pytest.param(
+            lambda _: [
+                "verify",
+                '{"vars": ["x", "y"], "coords": ["x", "y"], '
+                f'"grading": {{"weights": [{LONG_LITERAL}, 1]}}}}',
+            ],
+            id="long-json-integer",
+            marks=needs_digit_limit,
+        ),
+        pytest.param(
+            lambda tmp_path: ["verify", _non_utf8_file(tmp_path)],
+            id="non-utf8-file",
+        ),
+    ],
+)
+def test_hostile_input_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert code == 64 and err.startswith("error:")
+
+
+MAP_ARG = (
+    (), "map", None, None, None, None, "inline '(f, g[, h])', JSON '{...}', or '@file'"
+)
+GRADING_FLAG = (
+    ("--grading",), "grading", None, None, None, "W", "comma-separated weights, e.g. 7,2,-3"
+)
+JSON_FLAG = (("--json",), "json", 0, None, False, None, "machine-readable output")
+WEIGHT_ARGS = [((), name, None, int, None, None, None) for name in "abc"]
+
+# each subcommand's help, then its arguments as (flags, dest, nargs, type,
+# default, metavar, help) in the order --help lists them
+CLI_SURFACE = [
+    ("verify", "inverse-pair or automorphism check", [
+        MAP_ARG,
+        ((), "inverse", "?", None, None, None, "candidate inverse map"),
+        GRADING_FLAG,
+        JSON_FLAG,
+    ]),
+    ("compose", "compose maps, applied right to left", [
+        ((), "maps", "+", None, None, None, "maps, leftmost applied last"),
+        JSON_FLAG,
+    ]),
+    ("invert", "exact inverse via factorization", [MAP_ARG, GRADING_FLAG, JSON_FLAG]),
+    ("decompose", "factor into elementary and linear maps", [
+        MAP_ARG,
+        (("--trace-svg",), "trace_svg", None, None, None, "PATH",
+         "write the plane descent trace as SVG (two-variable maps)"),
+        GRADING_FLAG,
+        JSON_FLAG,
+    ]),
+    ("classify", "does a grading admit wild maps?", WEIGHT_ARGS + [JSON_FLAG]),
+    ("witness", "build a graded-wild automorphism", WEIGHT_ARGS + [
+        (("--check",), "check", 0, None, False, None, "run the full verification"),
+        JSON_FLAG,
+    ]),
+    ("lift", "lift a plane map to three variables", [MAP_ARG, GRADING_FLAG, JSON_FLAG]),
+    ("restrict", "restrict to the slice z = 1", [MAP_ARG, JSON_FLAG]),
+    ("certify-wild", "low-degree monomial test for wildness",
+     [MAP_ARG, GRADING_FLAG, JSON_FLAG]),
+    ("polygon", "Newton polygon of a plane polynomial", [
+        ((), "polynomial", None, None, None, None, "inline polynomial in two variables"),
+        (("--svg",), "svg", None, None, None, "PATH", "write the polygon as SVG"),
+        JSON_FLAG,
+    ]),
+    ("example", "named example maps", [
+        ((), "name", "?", None, None, None, "example name; omit to list"),
+        JSON_FLAG,
+    ]),
+]
+
+
+def test_cli_surface():
+    parser = cli._build_parser()
+    assert (parser.prog, parser.description) == (
+        "tamekit", "Exact tools for graded polynomial automorphisms."
+    )
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    surface = [
+        (name, helps[name], [
+            (tuple(a.option_strings), a.dest, a.nargs, a.type, a.default,
+             a.metavar, a.help)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sub in commands.choices.items()
+    ]
+    assert surface == CLI_SURFACE
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("stray"), InvariantViolation("bad chain")])
