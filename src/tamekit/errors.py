@@ -94,6 +94,10 @@ class CertifiedWildMap(TamekitError):
         self.certificate = certificate
 
 
+class WitnessTooLarge(TamekitError):
+    """The witness for these weights is past the size bound of wild_witness."""
+
+
 class UnknownName(TamekitError):
     """Requested named map does not exist."""
 

@@ -193,32 +193,21 @@ def normalize_weights(weights):
     """Canonicalize a weight triple.
 
     Divide by the gcd, negate if negatives outnumber positives, then
-    permute: a single negative weight goes last with the other two in
-    weakly decreasing order, and an all-nonnegative triple is stably
-    sorted in decreasing order.
+    permute by one sort: the negative weight, of which at most one is
+    left, goes last, the others in decreasing order, and equal weights
+    keep their order.
     """
     original = _check_weights(weights)
     if len(original) != 3:
         raise ArityMismatch("normalize_weights expects exactly three weights")
-    divisor = gcd(gcd(abs(original[0]), abs(original[1])), abs(original[2]))
-    if divisor == 0:
-        divisor = 1
+    divisor = gcd(*original) or 1
     scaled = [w // divisor for w in original]
     positives = sum(1 for w in scaled if w > 0)
     negatives = sum(1 for w in scaled if w < 0)
     flipped = positives < negatives
     if flipped:
         scaled = [-w for w in scaled]
-    neg_idx = [i for i, w in enumerate(scaled) if w < 0]
-    if not neg_idx:
-        perm = tuple(sorted(range(3), key=lambda i: (-scaled[i], i)))
-    else:
-        # after the flip at most one weight is negative
-        k = neg_idx[0]
-        others = [i for i in range(3) if i != k]
-        if scaled[others[0]] < scaled[others[1]]:
-            others.reverse()
-        perm = (others[0], others[1], k)
+    perm = tuple(sorted(range(3), key=lambda i: (scaled[i] < 0, -scaled[i], i)))
     norm = tuple(scaled[p] for p in perm)
     return NormalizedGrading(original, norm, perm, flipped, divisor)
 

@@ -115,11 +115,12 @@ def plane_swap():
 # composition
 
 def compose(left, right):
-    """The map 'left after right'."""
-    if left.arity != right.arity:
-        raise ArityMismatch(
-            f"cannot compose arity {left.arity} with arity {right.arity}"
-        )
+    """The map 'left after right'.
+
+    Maps of two arities raise ArityMismatch from Polynomial.substitute,
+    whose image count is checked on the first coordinate before any
+    product.
+    """
     return PolynomialMap(c.substitute(right.coords) for c in left.coords)
 
 

@@ -24,36 +24,18 @@ class NamedExample:
     notes: str
 
 
-def _build_identity():
-    ident = identity_map(3)
-    return NamedExample("identity3", ident, ident, "The identity map in three variables.")
-
-
-def _build_nagata():
-    nagata, inverse = nagata_pair()
-    return NamedExample(
-        "nagata",
-        nagata,
-        inverse,
+# name: (the pair (map, inverse) it is built from, notes)
+_FIXED = {
+    "identity3": (lambda: (identity_map(3),) * 2, "The identity map in three variables."),
+    "nagata": (
+        nagata_pair,
         "Nagata's automorphism: fixes the quadric x^2 - y*z, has Jacobian "
         "determinant 1, and is wild in three variables.",
-    )
-
-
-def _build_nagata_inverse():
-    nagata, inverse = nagata_pair()
-    return NamedExample(
-        "nagata-inverse",
-        inverse,
-        nagata,
+    ),
+    "nagata-inverse": (
+        lambda: nagata_pair()[::-1],
         "The inverse of Nagata's automorphism; it fixes the same quadric.",
-    )
-
-
-_BUILDERS = {
-    "identity3": _build_identity,
-    "nagata": _build_nagata,
-    "nagata-inverse": _build_nagata_inverse,
+    ),
 }
 
 # at most 640 digits, the least limit the interpreter may set on reading an int
@@ -64,15 +46,15 @@ _WITNESS_PATTERN = re.compile(
 
 def example_names():
     """Registry names, the parametric family written with placeholders."""
-    return sorted(_BUILDERS) + ["witness(a,b,c)"]
+    return sorted(_FIXED) + ["witness(a,b,c)"]
 
 
 def get_example(name):
     """Look up a named example, building parametric witnesses on demand."""
     key = name.strip()
-    builder = _BUILDERS.get(key)
-    if builder is not None:
-        return builder()
+    if key in _FIXED:
+        pair, notes = _FIXED[key]
+        return NamedExample(key, *pair(), notes)
     match = _WITNESS_PATTERN.match(key)
     if match is not None:
         a, b, c = (int(s) for s in match.groups())

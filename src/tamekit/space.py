@@ -26,7 +26,8 @@ Each public entry point checks its inputs once, at its own boundary,
 and classifies the weights once: the GradingClassification is the one
 weight context passed down from there.  decompose_graded dispatches on
 its reason, handing positive and zero weights to the public
-decompose_positive and decompose_zero_cases, and decompose_zero_cases
+decompose_positive and decompose_zero_cases, which check their input
+again (so zero weights are classified twice), and decompose_zero_cases
 dispatches on its zero shape; the degree test, the pipelines and the
 lifts below take the context as given and never classify, normalize or
 re-check the input map again.
@@ -56,6 +57,7 @@ from .errors import (
     QHatNotOne,
     ThirdCoordinateNotScalar,
     WildAdmittingUndecided,
+    WitnessTooLarge,
     WrongShape,
 )
 from .grading import (
@@ -77,7 +79,6 @@ from .maps import (
     classify_map,
     compose_chain,
     map_from_matrix,
-    matrix_det,
     matrix_inverse,
     matrix_product,
     verify_inverse_pair,
@@ -257,10 +258,10 @@ def split_z_scaling(m, weights):
     Needs the first two weights nonnegative and the third negative; the
     third coordinate of a graded map then has every monomial divisible
     by z, and for an automorphism it must be lam*z exactly (anything
-    else raises ThirdCoordinateNotScalar).
+    else raises ThirdCoordinateNotScalar).  The weights are read before
+    the map; the NotGraded check raises ArityMismatch for a map that
+    does not have three variables.
     """
-    if m.arity != 3:
-        raise ArityMismatch(f"need a three-variable map, got arity {m.arity}")
     w = _check_weights(weights)
     if len(w) != 3 or not (w[0] >= 0 and w[1] >= 0 and w[2] < 0):
         raise WrongShape(
@@ -270,14 +271,20 @@ def split_z_scaling(m, weights):
     return _split_z(m)
 
 
-def _split_z(m):
-    """split_z_scaling for a map already known to be graded."""
+def _z_scale(m):
+    """lam when the third coordinate of m is lam*z exactly, for a nonzero
+    scalar lam; ThirdCoordinateNotScalar otherwise."""
     lam = _scalar_coord(m.coords[2], 2)
     if lam is None:
         raise ThirdCoordinateNotScalar(
             f"third coordinate {m.coords[2]} is not a nonzero scalar multiple of z"
         )
-    return PolynomialMap((_X, _Y, lam * _Z)), PolynomialMap((*m.coords[:2], _Z))
+    return lam
+
+
+def _split_z(m):
+    """split_z_scaling for a map already known to be graded."""
+    return PolynomialMap((_X, _Y, _z_scale(m) * _Z)), PolynomialMap((*m.coords[:2], _Z))
 
 
 def restrict_to_plane(m):
@@ -324,13 +331,13 @@ def lift_plane_map(pm, weights):
     x^i y^j z^t with t fixed by weight homogeneity.  The lift exists
     unless the first coordinate has a pure power v^j with b*j < a (the
     free term included) or the second coordinate has a free term; the
-    report carries the offending monomial instead of raising.
-    No assert guards the power of z: the NotGradedPlane check makes it
-    an integer and the two obstruction scans make it non-negative.
+    report carries the offending monomial instead of raising.  A map
+    that is not a plane map fails the NotGradedPlane check first, with
+    ArityMismatch.  No assert guards the power of z: the NotGradedPlane
+    check makes it an integer and the two obstruction scans make it
+    non-negative.
     """
     a, b, c = _mixed_abc(_check_weights(weights), WrongShape)
-    if pm.arity != 2:
-        raise ArityMismatch(f"need a plane map, got arity {pm.arity}")
     rg = plane_residue_grading(a, b, c)
     if not rg.is_graded_map(pm):
         raise NotGradedPlane(f"{pm} is not graded for {rg!r}")
@@ -525,6 +532,12 @@ def nagata_pair():
     return nagata, inverse
 
 
+# eps's first coordinate has 1 + q + l*q*(q+1)/2 terms, each coefficient
+# below 2^(q*(l+1)): wild_witness refuses weights for which the terms times
+# the bits are past this bound, before anything is built
+_MAX_WITNESS_BITS = 5 * 10**7
+
+
 def wild_witness(weights):
     """Build an explicit graded-wild automorphism for admitting weights.
 
@@ -543,7 +556,8 @@ def wild_witness(weights):
     single product of binomials, and nothing is composed.
 
     Raises NotWildAdmitting when the classification says the grading
-    only has graded-tame automorphisms.
+    only has graded-tame automorphisms, and WitnessTooLarge past the
+    size bound _MAX_WITNESS_BITS.
     """
     cls = classify_grading(weights)
     if not cls.admits_wild:
@@ -556,6 +570,8 @@ def wild_witness(weights):
         return WildWitness(cls.weights, cls, nag, nag_inv, externally_certified=True)
     norm = cls.normalized
     qh, lh = cls.q_hat, cls.l_hat
+    if (1 + qh + lh * qh * (qh + 1) // 2) * qh * (lh + 1) > _MAX_WITNESS_BITS:
+        raise WitnessTooLarge(f"the witness for {cls.weights} is past the size bound")
     eps = _conjugated_shear(qh, lh, 1)
     eps_inv = _conjugated_shear(qh, lh, -1)
     lifted = _lift_or_fail(eps, norm.weights)
@@ -590,7 +606,8 @@ def decompose_positive(m, weights):
     block over V_d plus polynomials in strictly lower-weight variables,
     so the map is a product, lowest level first, of one linear stage
     and commuting single-variable shears per level.  A singular block
-    proves the map is not an automorphism.
+    proves the map is not an automorphism; matrix_inverse finds it, so
+    each block's determinant is computed once.
     """
     given = _check_weights(weights)
     if len(given) != m.arity:
@@ -615,15 +632,16 @@ def decompose_positive(m, weights):
             # the NotGraded check confines the tail to lower-weight variables
             block.append(row)
             tails.append(tail)
-        if matrix_det(block) == 0:
+        try:
+            inv = matrix_inverse(block)
+        except WrongShape:
             raise NotAnAutomorphism(
                 f"the weight-{level} linear block of {m} is singular"
-            )
+            ) from None
         lin_coords = list(xs)
         for i, tail in zip(idxs, tails):
             lin_coords[i] = m.coords[i] - tail
         factors.append(PolynomialMap(lin_coords))
-        inv = matrix_inverse(block)
         for r, i in enumerate(idxs):
             acc = Polynomial.zero(n)
             for col in range(len(idxs)):
@@ -740,11 +758,7 @@ def _scalars_and_shear(mm, open_idx):
     be a non-automorphism with a nonzero constant Jacobian determinant:
     a counterexample to the Jacobian conjecture.
     """
-    lam3 = _scalar_coord(mm.coords[2], 2)
-    if lam3 is None:
-        raise ThirdCoordinateNotScalar(
-            f"third coordinate {mm.coords[2]} must be a scalar multiple of z"
-        )
+    _z_scale(mm)
     frozen = 1 - open_idx
     if _scalar_coord(mm.coords[frozen], frozen) is None:
         raise NotAnAutomorphism(

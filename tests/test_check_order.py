@@ -30,6 +30,7 @@ from tamekit import (
     decompose_zero_cases,
     lift_plane_map,
     rewrite_liftable_chain,
+    split_z_scaling,
     wild_witness,
     wildness_certificate,
 )
@@ -147,6 +148,19 @@ CASES = [
         lift_plane_map,
         (PolynomialMap((u + v**2 + 1, v)), (7, 2, -3)),
         NotGradedPlane,
+    ),
+    # split_z_scaling: the weights (count and type, shape), then the map's
+    # arity and gradedness in one check, then the third coordinate
+    ("weight count and arity", split_z_scaling, (PLANE, (1, -1)), WrongShape),
+    ("float weight and ungraded", split_z_scaling, (UNGRADED, (1.5, 1, -1)), ArityMismatch),
+    ("shape and arity", split_z_scaling, (PLANE, (1, 1, 1)), WrongShape),
+    ("shape and ungraded", split_z_scaling, (UNGRADED, (1, 1, 1)), WrongShape),
+    ("arity and ungraded", split_z_scaling, (MOVES_ORIGIN, (1, 1, -1)), ArityMismatch),
+    (
+        "ungraded and scalar z",
+        split_z_scaling,
+        (PolynomialMap((x + 1, y, x * y * z**3)), (1, 1, -1)),
+        NotGraded,
     ),
     # rewrite_liftable_chain: weight shape, gcd, q_hat, then factor by factor
     ("shape and q_hat", rewrite_liftable_chain, (_chain(PLANE), (2, 3, -1)), WrongShape),

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
+import tamekit
 from tamekit import cli
 from tamekit.cli import main
 from tamekit.errors import InvariantViolation
@@ -413,11 +417,49 @@ def _non_utf8_file(tmp_path):
             lambda tmp_path: ["verify", _non_utf8_file(tmp_path)],
             id="non-utf8-file",
         ),
+        # a plane map and a three-variable candidate inverse: not a false verify
+        pytest.param(
+            lambda _: ["verify", "(x + y^2, y)", "(x*y, y, z)"],
+            id="inverse-of-another-arity",
+        ),
     ],
 )
 def test_hostile_input_is_a_usage_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv(tmp_path))
     assert code == 64 and err.startswith("error:")
+
+
+# the child's address space is capped, so a witness built without the size
+# bound fails there with MemoryError (exit 70) instead of filling the host
+_CAPPED_MAIN = """
+import resource, sys
+limit = 800 * 2**20
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from tamekit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "1000000001", "2", "-3"], ["example", "witness(1000000001,2,3)"]],
+    ids=["witness", "example"],
+)
+def test_oversized_witness_is_refused_before_it_is_built(argv):
+    pytest.importorskip("resource")
+    src = str(Path(tamekit.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert out.returncode == 64, out.stderr
+    assert out.stderr.startswith("error:") and "size bound" in out.stderr
 
 
 MAP_ARG = (

@@ -31,6 +31,7 @@ from tamekit.errors import (
     QHatNotOne,
     ThirdCoordinateNotScalar,
     WildAdmittingUndecided,
+    WitnessTooLarge,
     WrongShape,
 )
 from tamekit.grading import Grading, normalize_weights, plane_residue_grading
@@ -455,6 +456,25 @@ def test_witness_refused_for_tame_only():
     for weights in [(1, 2, 3), (5, 2, -3), (1, 1, -1), (2, 1, 0), (2, 1, -2)]:
         with pytest.raises(NotWildAdmitting):
             wild_witness(weights)
+
+
+@pytest.mark.parametrize("weights", [(7, 2, -3), (39, 1, -10), (39, 1, -20), (1003, 1, -1001)])
+def test_witness_size_bound_reads_the_first_coordinate(weights):
+    # the bound of wild_witness: so many terms, each coefficient below 2^(q(l+1))
+    wit = wild_witness(weights)
+    q, l = wit.q_hat, wit.l_hat
+    first = wit.plane_map.coords[0].terms
+    assert len(first) == 1 + q + l * q * (q + 1) // 2
+    assert all(abs(c) < 2 ** (q * (l + 1)) for c in first.values())
+
+
+def test_witness_size_bound_is_inclusive(monkeypatch):
+    # (7, 2, -3): q_hat = l_hat = 2, so 9 terms below 2^6
+    monkeypatch.setattr(space, "_MAX_WITNESS_BITS", 54)
+    assert wild_witness((7, 2, -3)).verify()
+    monkeypatch.setattr(space, "_MAX_WITNESS_BITS", 53)
+    with pytest.raises(WitnessTooLarge):
+        wild_witness((7, 2, -3))
 
 
 def test_certificate_on_witness():

@@ -24,6 +24,7 @@ from tamekit import (
     identity_map,
     parse_polynomial,
     split_z_scaling,
+    verify_inverse_pair,
 )
 from tamekit.grading import _check_weights
 from tamekit.maps import map_from_matrix, matrix_product, perm_map
@@ -38,6 +39,13 @@ CASES = [
     ("coordinate not a polynomial", lambda: PolynomialMap((u, "v")), ArityMismatch),
     ("coordinates of two arities", lambda: PolynomialMap((u, z)), ArityMismatch),
     ("not a permutation", lambda: perm_map((0, 0)), WrongShape),
+    # composing the pair would fail on the plane map's x*y, but the arity
+    # check decides first
+    (
+        "inverse pair of two arities",
+        lambda: verify_inverse_pair(PolynomialMap((u + v**2, v)), PolynomialMap((x * y, y, z))),
+        ArityMismatch,
+    ),
     ("matrix dimensions", lambda: matrix_product([[1, 2]], [[1, 2]]), ArityMismatch),
     ("matrix not square", lambda: map_from_matrix([[1, 2], [3]]), ArityMismatch),
     (
@@ -49,6 +57,12 @@ CASES = [
     ("no weights", lambda: _check_weights(()), ArityMismatch),
     ("zero modulus", lambda: ResidueGrading((1, 2), 0), ArityMismatch),
     ("plane descent on arity 3", lambda: decompose_plane(identity_map(3)), ArityMismatch),
+    # its Jacobian determinant 2x is not constant, but the arity check runs first
+    (
+        "plane descent on a singular map of arity 3",
+        lambda: decompose_plane(PolynomialMap((x**2, y, z))),
+        ArityMismatch,
+    ),
     ("positive weight not an int", lambda: decompose_positive(identity_map(3), ("a", 1, 2)), ArityMismatch),
     ("z split weight not an int", lambda: split_z_scaling(identity_map(3), (1, 1, None)), ArityMismatch),
     # Polynomial validation
