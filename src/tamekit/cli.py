@@ -77,15 +77,16 @@ def _load_map(text):
     return parse_map(stripped), None
 
 
-def _weights_for(args, doc):
-    """Exact weights: --grading wins; the document grading is the fallback.
+def _weights_for(args, doc, default=(0, 0, 0)):
+    """Exact weights: --grading wins; the document grading is the fallback,
+    and ``default`` applies when neither gives any.
 
     A document grading with a modulus is refused, not read without it.
     """
-    if getattr(args, "grading", None):
+    if args.grading:
         return parse_weights(args.grading)
     if doc is None or doc.weights is None:
-        return None
+        return default
     if doc.modulus is not None:
         raise ParseError(
             f"this command needs exact weights, but the document grading "
@@ -116,44 +117,60 @@ def _plane_grading(args, doc):
     raise ParseError(f"expected 2 or 3 weights, got {len(weights)}")
 
 
-def _emit(args, lines, payload):
+def _emit(args, rows, code=0):
+    """Print each row's text line, or with --json one object merged from
+    the rows' fields; returns the exit code.
+
+    A row is (line, fields): a text line, or None for a fact that only
+    the JSON states, and the dict of JSON fields that the line stands for.
+    """
     if args.json:
+        payload = {}
+        for _, fields in rows:
+            payload.update(fields)
         print(json.dumps(payload, indent=2))
-        return
-    if isinstance(lines, str):
-        lines = [lines]
-    for line in lines:
-        print(line)
+    else:
+        for line, _ in rows:
+            if line is not None:
+                print(line)
+    return code
 
 
 def _bool(flag):
     return "true" if flag else "false"
 
 
-def _certificate_payload(cert):
-    payload = {
+def _map_rows(m):
+    text = m.render()
+    return [(text, {"map": text})]
+
+
+def _pair_rows(m, inverse):
+    """The aligned map and inverse lines of witness and example."""
+    pair = (("map", m.render()), ("inverse", inverse.render()))
+    return [(f"{key + ':':<9}{text}", {key: text}) for key, text in pair]
+
+
+def _certificate_rows(cert):
+    fields = {
         "certified": cert.certified,
-        "weights": list(cert.weights),
+        "weights": cert.weights,
         "q_hat": cert.q_hat,
         "threshold": cert.threshold,
     }
-    if cert.certified:
-        payload["violating_exponents"] = list(cert.violating_exponents)
-        payload["violating_degree"] = cert.violating_degree
-    return payload
-
-
-def _certificate_lines(cert):
     if not cert.certified:
-        return [
+        return [(
             "inconclusive: every low-degree monomial test passed "
-            f"(threshold {cert.threshold})"
-        ]
+            f"(threshold {cert.threshold})",
+            {"certificate": fields},
+        )]
+    fields["violating_exponents"] = cert.violating_exponents
+    fields["violating_degree"] = cert.violating_degree
     i, j = cert.violating_exponents
     return [
-        "certified wild",
-        f"violating monomial: u^{i}*v^{j} at total degree "
-        f"{cert.violating_degree}, below the tame threshold {cert.threshold}",
+        ("certified wild", {"certificate": fields}),
+        (f"violating monomial: u^{i}*v^{j} at total degree "
+         f"{cert.violating_degree}, below the tame threshold {cert.threshold}", {}),
     ]
 
 
@@ -163,54 +180,39 @@ def _certificate_lines(cert):
 def _cmd_verify(args):
     m, doc = _load_map(args.map)
     if args.inverse is not None:
-        other, _ = _load_map(args.inverse)
-        ok = verify_inverse_pair(m, other)
-        _emit(args, f"inverse pair: {_bool(ok)}", {"inverse_pair": ok})
-        return 0 if ok else 1
+        ok = verify_inverse_pair(m, _load_map(args.inverse)[0])
+        return _emit(args, [(f"inverse pair: {_bool(ok)}", {"inverse_pair": ok})],
+                     0 if ok else 1)
     if m.arity == 2:
         ok = is_plane_automorphism(m)
-        _emit(args, f"automorphism: {_bool(ok)}", {"automorphism": ok})
-        return 0 if ok else 1
-    weights = _weights_for(args, doc) or (0, 0, 0)
+        return _emit(args, [(f"automorphism: {_bool(ok)}", {"automorphism": ok})],
+                     0 if ok else 1)
     try:
-        result = decompose_graded(m, weights)
+        result = decompose_graded(m, _weights_for(args, doc))
     except NotAnAutomorphism as exc:
-        _emit(
-            args,
-            f"automorphism: false ({exc})",
-            {"automorphism": False, "reason": str(exc)},
-        )
-        return 1
+        return _emit(args, [(
+            f"automorphism: false ({exc})", {"automorphism": False, "reason": str(exc)}
+        )], 1)
     if isinstance(result, WildnessCertificate):
-        _emit(
-            args,
-            "automorphism: true (certified wild)",
-            {"automorphism": True, "wild": True},
-        )
-    else:
-        _emit(
-            args,
-            f"automorphism: true (tame, {len(result.factors)} factors)",
-            {"automorphism": True, "wild": False, "factors": len(result.factors)},
-        )
-    return 0
+        return _emit(args, [(
+            "automorphism: true (certified wild)", {"automorphism": True, "wild": True}
+        )])
+    n = len(result.factors)
+    return _emit(args, [(
+        f"automorphism: true (tame, {n} factors)",
+        {"automorphism": True, "wild": False, "factors": n},
+    )])
 
 
 def _cmd_compose(args):
-    maps = [_load_map(text)[0] for text in args.maps]
-    result = compose_chain(maps)
-    _emit(args, result.render(), {"map": result.render()})
-    return 0
+    return _emit(args, _map_rows(compose_chain([_load_map(t)[0] for t in args.maps])))
 
 
 def _cmd_invert(args):
     m, doc = _load_map(args.map)
     if m.arity == 2:
-        inverse = invert_plane(m)
-    else:
-        inverse = invert_graded(m, _weights_for(args, doc) or (0, 0, 0))
-    _emit(args, inverse.render(), {"map": inverse.render()})
-    return 0
+        return _emit(args, _map_rows(invert_plane(m)))
+    return _emit(args, _map_rows(invert_graded(m, _weights_for(args, doc))))
 
 
 def _cmd_decompose(args):
@@ -226,89 +228,65 @@ def _cmd_decompose(args):
     else:
         if args.trace_svg:
             raise WrongShape("--trace-svg needs a two-variable map")
-        result = decompose_graded(m, _weights_for(args, doc) or (0, 0, 0))
-        if isinstance(result, WildnessCertificate):
-            _emit(
-                args,
-                _certificate_lines(result),
-                {"certificate": _certificate_payload(result)},
-            )
-            return 4
-        chain = result
+        chain = decompose_graded(m, _weights_for(args, doc))
+        if isinstance(chain, WildnessCertificate):
+            return _emit(args, _certificate_rows(chain), 4)
     if args.trace_svg:
         _write_svg(args.trace_svg, [
             (cur.coords[0], f"step {k}: area {area}")
             for k, (cur, area) in enumerate(steps)
         ])
     rendered = [f.render() for f in chain.factors]
-    if not rendered:
-        lines = ["identity (no factors)"]
-    elif len(chain.notes) == len(chain.factors) and any(chain.notes):
-        width = max(len(r) for r in rendered)
-        lines = [
-            f"{r:<{width}}  # {note}" if note else r
-            for r, note in zip(rendered, chain.notes)
-        ]
-    else:
-        lines = rendered
-    payload = {
+    width = max(map(len, rendered), default=0)
+    lines = [
+        f"{r:<{width}}  # {note}" if note else r
+        for r, note in zip(rendered, chain.notes)
+    ]
+    return _emit(args, [(None, {
         "factors": rendered,
         "classes": [classify_map(f).name.lower() for f in chain.factors],
-        "notes": list(chain.notes),
-    }
-    _emit(args, lines, payload)
-    return 0
+        "notes": chain.notes,
+    })] + [(line, {}) for line in lines or ["identity (no factors)"]])
 
 
 def _cmd_classify(args):
     cls = classify_grading((args.a, args.b, args.c))
-    lines = [
-        f"weights: {cls.weights}",
-        f"normalized: {cls.normalized.weights}",
-        f"verdict: {cls.verdict.value}",
-        f"reason: {cls.reason.value}",
+    facts = [
+        ("weights", cls.weights),
+        ("normalized", cls.normalized.weights),
+        ("verdict", cls.verdict.value),
+        ("reason", cls.reason.value),
     ]
-    payload = {
-        "weights": list(cls.weights),
-        "normalized": list(cls.normalized.weights),
-        "verdict": cls.verdict.value,
-        "reason": cls.reason.value,
-    }
     if cls.zero_shape is not None:
-        lines.append(f"zero shape: {cls.zero_shape.value}")
-        payload["zero_shape"] = cls.zero_shape.value
+        facts.append(("zero shape", cls.zero_shape.value))
+    rows = [(f"{key}: {value}", {key.replace(" ", "_"): value}) for key, value in facts]
     if cls.q_hat is not None:
-        lines.append(f"q-hat: {cls.q_hat}  l-hat: {cls.l_hat}")
-        payload["q_hat"] = cls.q_hat
-        payload["l_hat"] = cls.l_hat
+        rows.append((
+            f"q-hat: {cls.q_hat}  l-hat: {cls.l_hat}",
+            {"q_hat": cls.q_hat, "l_hat": cls.l_hat},
+        ))
     if cls.witness_q is not None:
-        lines.append(
-            f"witness exponents: a = {cls.witness_q}*b + {cls.witness_p}*c"
-        )
-        payload["witness_q"] = cls.witness_q
-        payload["witness_p"] = cls.witness_p
-    _emit(args, lines, payload)
-    return 0
+        rows.append((
+            f"witness exponents: a = {cls.witness_q}*b + {cls.witness_p}*c",
+            {"witness_q": cls.witness_q, "witness_p": cls.witness_p},
+        ))
+    return _emit(args, rows)
 
 
 def _cmd_witness(args):
     wit = wild_witness((args.a, args.b, args.c))
-    checked = None
-    if args.check:
-        checked = wit.verify()
-    lines = [f"map:     {wit.map.render()}", f"inverse: {wit.inverse.render()}"]
-    payload = {"map": wit.map.render(), "inverse": wit.inverse.render()}
-    if wit.certificate is not None:
-        lines.extend(_certificate_lines(wit.certificate))
-        payload["certificate"] = _certificate_payload(wit.certificate)
+    checked = wit.verify() if args.check else None
+    rows = _pair_rows(wit.map, wit.inverse)
+    if wit.certificate is None:
+        rows.append((
+            "certified by construction (inverse pair checked literally)",
+            {"certificate": None},
+        ))
     else:
-        lines.append("certified by construction (inverse pair checked literally)")
-        payload["certificate"] = None
+        rows += _certificate_rows(wit.certificate)
     if checked is not None:
-        lines.append(f"verified: {_bool(checked)}")
-        payload["verified"] = checked
-    _emit(args, lines, payload)
-    return 0 if checked in (None, True) else 1
+        rows.append((f"verified: {_bool(checked)}", {"verified": checked}))
+    return _emit(args, rows, 0 if checked in (None, True) else 1)
 
 
 def _cmd_lift(args):
@@ -322,80 +300,54 @@ def _cmd_lift(args):
         raise ParseError(f"lift needs --grading a,b,-c{held}")
     report = lift_plane_map(m, parse_weights(args.grading))
     if report.liftable:
-        _emit(
-            args,
-            report.lifted.render(),
-            {"liftable": True, "map": report.lifted.render()},
-        )
-        return 0
+        return _emit(args, [(None, {"liftable": True})] + _map_rows(report.lifted))
     ob = report.obstruction
-    _emit(
-        args,
+    return _emit(args, [(
         f"not liftable: {ob.kind.value} at exponents {ob.exponents} "
         f"in coordinate {ob.coordinate}",
-        {
-            "liftable": False,
-            "obstruction": {
-                "kind": ob.kind.value,
-                "coordinate": ob.coordinate,
-                "exponents": list(ob.exponents),
-            },
-        },
-    )
-    return 3
+        {"liftable": False, "obstruction": {
+            "kind": ob.kind.value,
+            "coordinate": ob.coordinate,
+            "exponents": ob.exponents,
+        }},
+    )], 3)
 
 
 def _cmd_restrict(args):
-    m, _ = _load_map(args.map)
-    plane = restrict_to_plane(m)
-    _emit(args, plane.render(), {"map": plane.render()})
-    return 0
+    return _emit(args, _map_rows(restrict_to_plane(_load_map(args.map)[0])))
 
 
 def _cmd_certify_wild(args):
     m, doc = _load_map(args.map)
-    weights = _weights_for(args, doc)
+    weights = _weights_for(args, doc, None)
     if weights is None:
         raise ParseError("certify-wild needs --grading a,b,c")
     cert = wildness_certificate(m, weights)
-    _emit(args, _certificate_lines(cert), {"certificate": _certificate_payload(cert)})
-    return 4 if cert.certified else 0
+    return _emit(args, _certificate_rows(cert), 4 if cert.certified else 0)
 
 
 def _cmd_polygon(args):
     poly = parse_polynomial(args.polynomial, arity=2)
     hull = newton_polygon(poly)
     area = polygon_area(hull)
-    lines = [
-        "vertices: " + " ".join(f"({i},{j})" for i, j in hull),
-        f"area: {area}",
+    rows = [
+        ("vertices: " + " ".join(f"({i},{j})" for i, j in hull), {"vertices": hull}),
+        (f"area: {area}", {"area": str(area)}),
     ]
-    payload = {"vertices": [list(p) for p in hull], "area": str(area)}
     if args.svg:
         _write_svg(args.svg, [(poly, f"area {area}")])
-        lines.append(f"wrote {args.svg}")
-    _emit(args, lines, payload)
-    return 0
+        rows.append((f"wrote {args.svg}", {}))
+    return _emit(args, rows)
 
 
 def _cmd_example(args):
     if args.name is None:
-        _emit(args, list(example_names()), {"examples": list(example_names())})
-        return 0
+        names = example_names()
+        return _emit(args, [(None, {"examples": names})] + [(n, {}) for n in names])
     ex = get_example(args.name)
-    lines = [
-        f"map:     {ex.map.render()}",
-        f"inverse: {ex.inverse.render()}",
-        f"notes:   {ex.notes}",
-    ]
-    payload = {
-        "name": ex.name,
-        "map": ex.map.render(),
-        "inverse": ex.inverse.render(),
-        "notes": ex.notes,
-    }
-    _emit(args, lines, payload)
-    return 0
+    return _emit(args, [(None, {"name": ex.name})] + _pair_rows(ex.map, ex.inverse) + [
+        (f"notes:   {ex.notes}", {"notes": ex.notes}),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -509,9 +509,11 @@ def _conjugated_shear(qh, lh, sign):
     phi = (u, v + sign*u^lh) with sign 1 or -1."""
     first = {(1, 0): 1}
     for k in range(1, qh + 1):
-        ck = sign**k * comb(qh, k)
-        for j in range(lh * k + 1):
-            first[(j, qh - k + qh * (lh * k - j))] = -ck * comb(lh * k, j)
+        # c is -sign^k C(qh, k) C(n, j); the row's recurrence divides exactly
+        n, c = lh * k, -(sign**k) * comb(qh, k)
+        for j in range(n + 1):
+            first[(j, qh - k + qh * (n - j))] = c
+            c = c * (n - j) // (j + 1)
     second = {(0, 1): 1}
     for j in range(lh + 1):
         second[(j, qh * (lh - j))] = sign * comb(lh, j)

@@ -1,6 +1,7 @@
 """Inline text and JSON document parsing."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +78,36 @@ def test_parse_error_positions():
         with pytest.raises(ParseError) as info:
             parse_polynomial(text)
         assert info.value.position == position, text
+
+
+_DIVISION = "division is only available between integer literals"
+
+
+# on each of these inputs a later check raises ParseError too, with
+# another message, so each row pins the message and position of the
+# check that speaks first
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (partial(parse_polynomial, arity=3), "u + v",
+         "three-variable text uses x, y, z", 0),
+        (partial(parse_polynomial, arity=2), "x + z",
+         "z is not available in two variables", 4),
+        (parse_polynomial, "  ", "empty polynomial", 0),
+        (parse_polynomial, "2x", "missing operator (explicit * is required)", 1),
+        (parse_polynomial, "x/2", _DIVISION, 1),
+        (parse_polynomial, "1/x", _DIVISION, 1),
+        (parse_map, "(x)", "a map needs two or three coordinates, got 1", 0),
+    ],
+    ids=[
+        "u-v-in-three-variables", "z-in-two-variables", "blank", "missing-operator",
+        "variable-divided", "divided-by-a-variable", "one-coordinate",
+    ],
+)
+def test_parse_error_message_and_position(parse, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.position) == (message, position)
 
 
 def test_parse_empty_and_dangling():

@@ -4,14 +4,13 @@ Usage, from the root of a checkout:
 
     python tests/tools/raise_mutants.py
 
-Covers every ``raise`` statement of the modules of ``src/tamekit`` except
-``cli.py`` and ``parsing.py``, the two text front ends.  A mutant is its module with one raise
-statement replaced by ``pass``; every other line keeps its number.  It
-runs in a private copy of ``src``, ``tests``, ``bench`` and
-``pyproject.toml`` in a temporary directory, never in the checkout, under
-``pytest -x`` over the test modules that MODULE_TESTS lists for its
-module, with ``PYTHONDONTWRITEBYTECODE`` set so no stale bytecode is
-read.  A mutant that passes its list runs again over the whole tier-1
+Covers every ``raise`` statement of the modules of ``src/tamekit``.  A
+mutant is its module with one raise statement replaced by ``pass``;
+every other line keeps its number.  It runs in a private copy of
+``src``, ``tests``, ``bench`` and ``pyproject.toml`` in a temporary
+directory, never in the checkout, under ``pytest -x`` over the test
+modules that MODULE_TESTS lists for its module, with
+``PYTHONDONTWRITEBYTECODE`` set so no stale bytecode is read.  A mutant that passes its list runs again over the whole tier-1
 suite, ``tests`` and ``bench``.  Criterion 1's test is always
 deselected: its 60 s wall-clock gate says nothing about a mutant on a
 host shared with other workers.  Each pytest run gets an address-space
@@ -45,7 +44,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "tamekit"
-SKIPPED = ("cli.py", "parsing.py")
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_plane_round_trip"
 WHOLE_SUITE = ("tests", "bench")
 MEMORY_LIMIT = 2 * 2**30
@@ -62,8 +60,12 @@ MODULE_TESTS = {
         "test_maps.py", "test_internal_maps.py", "test_typed_raises.py", "test_cli.py",
         "test_invariants.py",
     ],
+    "cli.py": ["test_cli.py", "test_golden_cli.py"],
     "named.py": ["test_named.py", "test_cli.py"],
     "newton.py": ["test_newton.py", "test_jung.py"],
+    "parsing.py": [
+        "test_parsing.py", "test_typed_raises.py", "test_cli.py", "test_golden_cli.py",
+    ],
     "poly.py": ["test_poly.py", "test_typed_raises.py", "test_poly_oracle.py"],
     "space.py": [
         "test_space.py", "test_check_order.py", "test_invariants.py", "test_cli.py",
@@ -164,8 +166,6 @@ def judge(copies, module, source, site):
 def main():
     jobs = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in SKIPPED:
-            continue
         source = path.read_text()
         sites = raise_sites(source)
         if sites and path.name not in MODULE_TESTS:
@@ -181,7 +181,7 @@ def main():
     survived = sum(line.endswith(" survived") for line in lines)
     header = [
         "# python tests/tools/raise_mutants.py: each raise of src/tamekit",
-        f"# (not {' or '.join(SKIPPED)}) replaced by pass, criterion 1 deselected",
+        "# replaced by pass, criterion 1 deselected",
         f"# {len(lines)} sites, {len(lines) - survived} killed, {survived} survived,"
         f" {WORKERS} workers, {time.monotonic() - start:.0f} s",
     ]
