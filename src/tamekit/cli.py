@@ -199,7 +199,7 @@ def _cmd_verify(args):
         )])
     n = len(result.factors)
     return _emit(args, [(
-        f"automorphism: true (tame, {n} factors)",
+        f"automorphism: true (tame, {n} factor{'' if n == 1 else 's'})",
         {"automorphism": True, "wild": False, "factors": n},
     )])
 

@@ -107,7 +107,9 @@ def perm_map(perm):
     return PolynomialMap(tuple(Polynomial.variable(n, perm[i]) for i in range(n)))
 
 
+@lru_cache(maxsize=None)
 def plane_swap():
+    # one shared map, as identity_map
     return perm_map((1, 0))
 
 
@@ -452,7 +454,8 @@ class FactorChain:
         factors = tuple(factors)
         notes = ("",) * len(factors) if notes is None else tuple(notes)
         if len(notes) == len(factors):  # else the constructor refuses them
-            kept = [i for i, f in enumerate(factors) if f != identity_map(target.arity)]
+            ident = identity_map(target.arity)
+            kept = [i for i, f in enumerate(factors) if f != ident]
             factors, notes = [factors[i] for i in kept], [notes[i] for i in kept]
         try:
             return cls(target, factors, notes)

@@ -365,7 +365,14 @@ class Polynomial:
     def partial(self, index):
         if not 0 <= index < self.arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        # distinct terms keep distinct exponents, so nothing merges
+        # distinct terms keep distinct exponents, so nothing merges; the
+        # plane cases are unrolled, as in _convolve
+        if self.arity == 2:
+            if index:
+                num = {(i, j - 1): c * j for (i, j), c in self._num.items() if j}
+            else:
+                num = {(i - 1, j): c * i for (i, j), c in self._num.items() if i}
+            return Polynomial._raw(2, num, self._den)
         num = {}
         for exps, c in self._num.items():
             e = exps[index]
@@ -472,29 +479,43 @@ class Polynomial:
         """self at x_s -> x_s + (rn/rd)*x_o^q, x_o -> x_o (o = 1 - s), for
         ``substitute`` and the plane descent: each term c*x_s^i*x_o^j is the
         binomial row sum_k C(i, k)*r^(i-k)*x_s^k*x_o^(j + q(i-k)), on
-        integer numerators over den*rd^top (top = max i).  The powers of rn
-        and rd up to top are built once; rows are keyed (k, x_o exponent),
-        which is (x, y) order when s = 0."""
-        top = max((e[s] for e in self._num), default=0)
-        rpow = [rn**k for k in range(top + 1)]
-        dpow = [rd**k for k in range(top + 1)]
+        integer numerators over den*rd^top (top = max i).
+
+        Entry k of row i is C(i, k)*t[i - k] with t[m] = rn^m*rd^(top-m),
+        one table per shear.  Each row is built once per power i, its
+        binomials by C(i, k+1) = C(i, k)*(i-k)/(k+1), so a row costs its
+        length in products.  Keys are written in (x, y) order directly."""
+        num, o = self._num, 1 - s
+        top = 0
+        for e in num:
+            if e[s] > top:
+                top = e[s]
+        t = [rd**top]
+        for _ in range(top):
+            t.append(t[-1] * rn // rd)  # exact: t[m] holds rd^(top-m), m < top
         rows, acc = {}, {}
         get = acc.get
-        for e, c in self._num.items():
-            i, jq = e[s], e[1 - s] + q * e[s]
+        for e, c in num.items():
+            i = e[s]
+            jq = e[o] + q * i
             row = rows.get(i)
             if row is None:
-                row = rows[i] = [
-                    comb(i, k) * rpow[i - k] * dpow[top - i + k] for k in range(i + 1)
-                ]
-            for k, v in enumerate(row):
-                key = (k, jq - q * k)
-                acc[key] = get(key, 0) + c * v
-        if s:
-            num = {(j, k): c for (k, j), c in acc.items() if c}
-        else:
-            num = {e: c for e, c in acc.items() if c}
-        return Polynomial._raw(2, num, self._den * dpow[top])
+                row, b = [], 1
+                for k in range(i + 1):
+                    row.append(b * t[i - k])
+                    b = b * (i - k) // (k + 1)
+                rows[i] = row
+            # entry k has x_s exponent k and x_o exponent jq - q*k
+            if s:
+                for k, v in enumerate(row):
+                    key = (jq - q * k, k)
+                    acc[key] = get(key, 0) + c * v
+            else:
+                for k, v in enumerate(row):
+                    key = (k, jq - q * k)
+                    acc[key] = get(key, 0) + c * v
+        num = {e: c for e, c in acc.items() if c}
+        return Polynomial._raw(2, num, self._den * t[0])
 
     # ------------------------------------------------------------------
     # comparison and display
@@ -563,11 +584,15 @@ class Polynomial:
 def _shear_of(images):
     """(s, q, rn, rd) when the plane images are x_s + (rn/rd)*x_o^q with
     q >= 0 and x_o itself (o = 1 - s), else None."""
-    if len(images) == 2 and all(isinstance(g, Polynomial) and g.arity == 2 for g in images):
+    if len(images) != 2:
+        return None
+    a, b = images
+    if type(a) is Polynomial and type(b) is Polynomial and a.arity == b.arity == 2:
         for s, unit, other in ((0, (1, 0), (0, 1)), (1, (0, 1), (1, 0))):
             img, fixed = images[s], images[1 - s]
-            num, bare = img._num, fixed._den == 1 and fixed._num == {other: 1}
-            if bare and len(num) == 2 and num.get(unit) == img._den:
+            num = img._num
+            if (len(num) == 2 and num.get(unit) == img._den
+                    and fixed._den == 1 and fixed._num == {other: 1}):
                 ((e, rn),) = [(e, c) for e, c in num.items() if e != unit]
                 if not e[s]:
                     return s, e[1 - s], rn, img._den

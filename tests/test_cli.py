@@ -78,6 +78,18 @@ def test_verify_three_variable(capsys):
     assert code == 1 and "automorphism: false" in out
 
 
+@pytest.mark.parametrize(
+    "text, count, words",
+    [("(x, y, z)", 0, "0 factors"), ("(y, x, z)", 1, "1 factor"),
+     ("(2*x + y^2*z, y, z)", 2, "2 factors")],
+)
+def test_verify_counts_factors_in_words(capsys, text, count, words):
+    code, out, _ = run(capsys, "verify", text, "--grading", "1,1,-1")
+    assert code == 0 and out == f"automorphism: true (tame, {words})\n"
+    code, out, _ = run(capsys, "verify", text, "--grading", "1,1,-1", "--json")
+    assert code == 0 and json.loads(out)["factors"] == count
+
+
 def test_verify_trivial_grading_rejects_a_nonconstant_jacobian(capsys):
     # the Jacobian 2x rules the map out before the shape router runs
     code, out, _ = run(capsys, "verify", "(x^2, y, z)")

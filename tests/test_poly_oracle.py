@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tamekit import poly
 from tamekit.maps import PolynomialMap, jacobian_det
 from tamekit.poly import Polynomial, _shear_of
 
@@ -292,6 +293,53 @@ def test_substitute_plane_shear_matches_sympy(f, images):
 
 
 @st.composite
+def long_shears(draw):
+    """A plane polynomial of degree up to 40 in the sheared variable x_s,
+    and the shear x_s -> x_s + (rn/rd)*x_o^q with rd >= 1 and either sign."""
+    s, q = draw(st.integers(0, 1)), draw(st.integers(0, 3))
+    rn = draw(st.integers(-9, 9).filter(bool))
+    r = Fraction(rn, draw(st.integers(1, 7)))
+    degrees = st.tuples(st.integers(0, 40), st.integers(0, 4))
+    terms = draw(st.dictionaries(degrees, coeffs, min_size=1, max_size=4))
+    f = Polynomial(2, {(i, j)[:: 1 - 2 * s]: c for (i, j), c in terms.items()})
+    images = [x, y]
+    images[s] = images[s] + r * images[1 - s] ** q
+    return f, tuple(images)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_shears())
+@example((x**40 - 3 * y, (x + Fraction(-5, 3) * y**2, y)))  # rn < 0, rd > 1
+@example((y**40 * x + Fraction(1, 2) * y**7, (x, y - Fraction(7, 4))))  # q = 0
+@example((x**37 * y**2 - x**36, (x - Fraction(2, 9) * y**3, y)))
+@example((Fraction(3, 8) * y**40 - x**3 * y**39, (x, y + Fraction(4, 3) * x)))
+def test_long_plane_shear_matches_sympy(case):
+    f, images = case
+    assert _shear_of(images) is not None
+    _check_substitute(f, images)
+
+
+def test_plane_shears_need_no_binomial_call(monkeypatch):
+    # the rows of a shear come from the binomial recurrence, not comb
+    f = Fraction(1, 3) * x**12 * y**2 - 5 * x**7 + y**9 - 2
+    shears = [
+        (x - Fraction(3, 5) * y**2, y),
+        (x, y + Fraction(-7, 2) * x**3),
+        (x + 4, y),
+        (x, y - Fraction(1, 6)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("comb called")
+
+    monkeypatch.setattr(poly, "comb", refuse)
+    for images in shears:
+        assert _shear_of(images) is not None
+        _check_substitute(f, images)
+        _check_substitute(f.map_exponents(2, lambda e: (e[1], e[0])), images)
+
+
+@st.composite
 def near_shears(draw):
     """A plane shear with one change that sends ``substitute`` down its
     general path."""
@@ -331,6 +379,11 @@ def test_substitute_near_shear_matches_sympy(f, images):
 @example((X**3 * Y - Fraction(1, 3) * X * Z**2 + 7, 0))  # a 1/3 times 3 turns whole
 @example((Fraction(1, 2) * x * y + y, 1))
 @example((Fraction(5, 4) * Y, 0))  # free of the variable: the zero polynomial
+# plane cases where c*e shares a factor with the denominator
+@example((Fraction(1, 6) * x**3 + Fraction(1, 2) * x * y**2, 0))  # over 6, then 2
+@example((Fraction(1, 4) * x * y**2 + Fraction(1, 2) * y**4, 1))  # over 4, then 2
+@example((Fraction(1, 2) * y**2 + Fraction(1, 4) * x * y**4, 1))  # turns whole
+@example((Fraction(2, 3) * x**3 * y - Fraction(1, 3) * y**5 + x, 0))  # e = 3: whole
 def test_partial_matches_sympy(case):
     f, index = case
     names = TARGET[: f.arity]

@@ -477,6 +477,14 @@ def test_witness_size_bound_is_inclusive(monkeypatch):
         wild_witness((7, 2, -3))
 
 
+def test_witness_at_the_size_bound_verifies():
+    # q_hat = 2 with the largest l_hat the bound admits (the next triple,
+    # (5773, 1, -5771), is refused): verify shears rows up to 5771 long
+    assert wild_witness((5771, 1, -5769)).verify()
+    with pytest.raises(WitnessTooLarge):
+        wild_witness((5773, 1, -5771))
+
+
 def test_certificate_on_witness():
     wit = wild_witness((7, 2, -3))
     cert = wildness_certificate(wit.map, (7, 2, -3))
