@@ -23,10 +23,6 @@ class ConstantPolynomial(TamekitError):
     """A constant was passed where a nonconstant polynomial is needed."""
 
 
-class NotHomogeneous(TamekitError):
-    """Polynomial is not homogeneous for the grading in question."""
-
-
 class NotAnAutomorphism(TamekitError):
     """The map fails a property every polynomial automorphism has."""
 

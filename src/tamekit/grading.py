@@ -1,11 +1,11 @@
 """Weight gradings on polynomial rings.
 
-A Grading assigns an integer weight to each variable and grades by
-weighted degree.  A ResidueGrading is a Grading whose weights are read
-modulo a fixed modulus: setting z = 1 turns the Z-grading (a, b, -c)
-into the plane grading "weight modulo c".  It overrides only how a term
-is weighed, so the decomposition engines run against either through
-the one homogeneity protocol.
+A Grading assigns an integer weight to each variable; its one question
+is is_graded_map, whether each coordinate of a map is homogeneous of
+its variable's weight.  A ResidueGrading is a Grading whose weights are
+read modulo a fixed modulus: setting z = 1 turns the Z-grading
+(a, b, -c) into the plane grading "weight modulo c".  It overrides only
+that check, so the plane descent runs against either.
 
 normalize_weights puts a triple of weights into the canonical shape the
 three-variable routines expect (gcd one, at most one negative weight and
@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import (
-    ArityMismatch,
-    GcdPrecondition,
-    NotHomogeneous,
-    ZeroPolynomial,
-)
+from .errors import ArityMismatch, GcdPrecondition
 from .maps import PolynomialMap
-from .poly import Polynomial
 
 
 def _check_weights(weights):
@@ -57,43 +51,13 @@ class Grading:
     def arity(self):
         return len(self.weights)
 
-    def weight(self, exps):
-        return sum(w * e for w, e in zip(self.weights, exps))
-
-    def degree(self, poly):
-        """Highest weight over the terms (ZeroPolynomial on zero)."""
-        self._check_arity(poly, "polynomial")
-        if poly.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no weighted degree")
-        return max(self.weight(e) for e in poly._num)
-
-    def top_component(self, poly):
-        """Sum of the terms of highest weight."""
-        top = self.degree(poly)
-        num = {e: c for e, c in poly._num.items() if self.weight(e) == top}
-        return Polynomial._raw(poly.arity, num, poly._den)
-
-    def is_homogeneous(self, poly):
-        self._check_arity(poly, "polynomial")
-        return len({self.weight(e) for e in poly._num}) <= 1
-
-    def homogeneous_degree(self, poly):
-        """The weight all terms share (NotHomogeneous if they differ)."""
-        self._check_arity(poly, "polynomial")
-        if poly.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no weighted degree")
-        found = {self.weight(e) for e in poly._num}
-        if len(found) != 1:
-            raise NotHomogeneous(f"{poly} mixes weights {sorted(found)}")
-        return found.pop()
-
     def is_graded_map(self, m):
         """Each coordinate is homogeneous of its variable's weight.
 
         Zero coordinates pass vacuously (they are homogeneous of every
         degree); a nonzero constant coordinate needs weight zero.
         """
-        self._check_arity(m, "map")
+        self._check_arity(m)
         # one pass: each term's weight is computed once
         w = self.weights
         for want, c in zip(w, m.coords):
@@ -102,10 +66,10 @@ class Grading:
                     return False
         return True
 
-    def _check_arity(self, thing, kind):
-        if thing.arity != self.arity:
+    def _check_arity(self, m):
+        if m.arity != self.arity:
             raise ArityMismatch(
-                f"{kind} arity {thing.arity} does not match grading arity {self.arity}"
+                f"map arity {m.arity} does not match grading arity {self.arity}"
             )
 
     def __eq__(self, other):
@@ -132,11 +96,8 @@ class ResidueGrading(Grading):
         self.modulus = modulus
         self.weights = tuple(w % modulus for w in _check_weights(weights))
 
-    def weight(self, exps):
-        return super().weight(exps) % self.modulus
-
     def is_graded_map(self, m):
-        self._check_arity(m, "map")
+        self._check_arity(m)
         # one pass; the stored weights are already reduced mod the modulus
         w, mod = self.weights, self.modulus
         for want, c in zip(w, m.coords):

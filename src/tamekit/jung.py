@@ -15,12 +15,14 @@ FactorChain checks; so m is an automorphism.  An automorphism always
 finishes, because every shape fact the descent checks holds for one
 (Jung-van der Kulk).  And the descent terminates, because the area is
 a non-negative half-integer that falls at every step (see _descend).
-So a map that fails a shape fact raises NotAnAutomorphism.  The
-constant-Jacobian precheck in front rejects most non-automorphisms
-before any shear is applied.  The origin-preserving and graded
-variants check their input and run the same descent; their extra
-factor properties then hold automatically, for the reasons given in
-their docstrings.
+So a map that fails a shape fact raises NotAnAutomorphism.
+decompose_plane puts the constant-Jacobian precheck in front, which
+rejects most non-automorphisms before any shear is applied.  The
+descent itself, _descend, does not repeat it, so callers in space.py
+that have already tested a Jacobian do not pay for a second one.  The
+origin-preserving and graded variants check their input and run the
+same descent; their extra factor properties then hold automatically,
+for the reasons given in their docstrings.
 """
 
 from __future__ import annotations
@@ -101,10 +103,12 @@ def _descend(m, trace):
     Polynomial._sheared call per coordinate; only the shear's inverse,
     a factor, is built as a map.
 
-    ``trace``, if given, gets the current map and its newton_area once
-    per step, before the step is read.
+    The descent needs no Jacobian test to be sound (FactorChain checks
+    the result); the caller runs the precheck when it has not already
+    made the Jacobian a nonzero constant.  ``trace``, if given, gets the
+    current map and its newton_area once per step, before the step is
+    read.
     """
-    _require_constant_jacobian(m)
     current = m
     suffix = []
     suffix_notes = []
@@ -137,13 +141,15 @@ def _descend(m, trace):
 def decompose_plane(m, trace=None):
     """Factor a plane automorphism into affine and elementary maps.
 
-    The returned FactorChain recomposes to m exactly (checked at
-    construction; a failure is an InvariantViolation).  ``trace``, if
+    The constant-Jacobian precheck runs first.  The returned
+    FactorChain recomposes to m exactly (checked at construction; a
+    failure is an InvariantViolation).  ``trace``, if
     given, is called with the current map and its polygon area once per
     descent step; only then is the area measured, and a hull is built
     only for a first coordinate whose support leaves its axis triangle.
     """
     _check_plane(m)
+    _require_constant_jacobian(m)
     factors, notes = _descend(m, trace)
     return FactorChain._derived(m, factors, notes)
 

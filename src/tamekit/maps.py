@@ -139,11 +139,6 @@ def compose_chain(maps):
 # ---------------------------------------------------------------------------
 # Jacobians
 
-def jacobian_matrix(m):
-    n = m.arity
-    return [[m.coords[i].partial(j) for j in range(n)] for i in range(n)]
-
-
 def _det(rows):
     """Cofactor expansion along the first row; the entries may be scalars
     or polynomials of one arity."""
@@ -161,7 +156,8 @@ def _det(rows):
 
 
 def jacobian_det(m):
-    return _det(jacobian_matrix(m))
+    n = m.arity
+    return _det([[c.partial(j) for j in range(n)] for c in m.coords])
 
 
 def constant_jacobian(m):
@@ -251,14 +247,6 @@ def _affine_matrix(m):
             if sum(e):
                 row[e.index(1)] = _scalar(num, c._den)
     return rows
-
-
-def affine_parts(m):
-    """(matrix, constants) of an affine map; WrongShape otherwise."""
-    matrix = _affine_matrix(m)
-    if matrix is None:
-        raise WrongShape(f"{m} is not affine")
-    return matrix, [c.constant_term() for c in m.coords]
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +450,10 @@ class FactorChain:
         except WrongShape as exc:
             raise InvariantViolation(f"derived chain: {exc}") from exc
 
-    def __len__(self):
-        return len(self.factors)
-
     def composed(self):
         if not self.factors:
             return identity_map(self.target.arity)
         return compose_chain(self.factors)
-
-    def classes(self):
-        return tuple(classify_map(f) for f in self.factors)
 
     def inverse(self):
         """The inverse of the target: the factors inverted, in reverse order.

@@ -267,11 +267,6 @@ class Polynomial:
             raise ZeroPolynomial("the zero polynomial has no degree")
         return max(sum(exps) for exps in self._num)
 
-    def min_total_degree(self):
-        if not self._num:
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        return min(sum(exps) for exps in self._num)
-
     def degree_in(self, index):
         if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")

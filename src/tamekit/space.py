@@ -30,7 +30,10 @@ decompose_positive and decompose_zero_cases, which check their input
 again (so zero weights are classified twice), and decompose_zero_cases
 dispatches on its zero shape; the degree test, the pipelines and the
 lifts below take the context as given and never classify, normalize or
-re-check the input map again.
+re-check the input map again.  Nor does the mixed pipeline re-check the
+plane descent factors it rewrites: they are graded and fix the origin
+by proof (see _mixed_pipeline), and only the public
+rewrite_liftable_chain checks the factors it is given.
 
 Everything is exact rational arithmetic; no floating point enters.
 """
@@ -431,69 +434,80 @@ class WildWitness:
     grading the witness is Nagata's automorphism and
     ``externally_certified`` is True: its wildness is a known fact the
     degree test does not reprove, and the mixed-only fields stay None.
+    The weights, q_hat, l_hat and the shear exponent witness_p are read
+    from ``classification``.
     """
 
-    weights: tuple
     classification: GradingClassification
     map: PolynomialMap
     inverse: PolynomialMap
     plane_map: object = None
     plane_inverse: object = None
-    q_hat: object = None
-    l_hat: object = None
-    shear_exponent: object = None
     certificate: object = None
     externally_certified: bool = False
 
     def verify(self, compose_cap=200):
         """Re-check every claim about the witness, exactly.
 
-        Always checks gradedness under the original weights, that the
-        two shear factors are inverse pairs (both are elementary, so
-        verify_inverse_pair decides them on their coefficients), and
-        that the plane map and plane inverse really are the stated
-        conjugates.
+        Checks gradedness under the original weights, that the two shear
+        factors are inverse pairs (both are elementary, so
+        verify_inverse_pair decides them on their coefficients), that
+        the plane map and plane inverse really are the stated
+        conjugates, that the map and its inverse fix z after
+        normalizing, and that they restrict to the plane pair.
         wild_witness writes the conjugates down from binomial sums, so
         composing the factors here is an independent second derivation,
         not a replay of the first.  The composition folds the two small
         factors first and substitutes the outer shear last; that order keeps
         every intermediate a short sum of binomial powers, where any
-        other association expands powers of the full conjugate.
-        Together with the factor pair checks that pins the inverse
-        identity, since (tau_inv phi tau)(tau_inv phi_inv tau)
-        telescopes to the identity once the factors cancel.  The pair
-        is additionally composed literally, in the plane and in three
-        variables, whenever the product of the two total degrees is at
-        most compose_cap; beyond that the expansion is enormous and the
-        structural identities already settle it.  The restriction round
-        trip and the degree certificate are re-derived as well.
+        other association expands powers of the full conjugate.  The
+        degree certificate is re-derived as well.
+
+        These checks prove the three-variable pair without composing it.
+        The plane pair is inverse: (tau_inv phi tau)(tau_inv phi_inv tau)
+        telescopes to the identity once the factor pairs cancel.  After
+        normalizing to (a, b, -c), setting z = 1 is injective on graded
+        maps that fix z: in a coordinate of weight w the monomial
+        x^i y^j z^k has c*k = a*i + b*j - w, so the restriction
+        determines the coordinate.  It also respects composition, as a
+        map that fixes z commutes with setting z = 1.  Both composites
+        of the normalized pair are graded, fix z and restrict to a
+        composite of the plane pair, the identity; the identity map has
+        the same three properties, so both composites are the identity.
+        The pair is still composed literally, in the plane and in three
+        variables, when the product of the two total degrees is at most
+        compose_cap.  The argument above makes that branch redundant; it
+        stays only because bench/layers.py reads the default of
+        compose_cap.
         Returns True when every check holds and False at the first that
         fails; no check is an assert, so the answer is the same under
         ``python -O``.
         """
-        g = Grading(self.weights)
+        cls = self.classification
+        g = Grading(cls.weights)
         if not (g.is_graded_map(self.map) and g.is_graded_map(self.inverse)):
             return False
         if self.externally_certified:
             return verify_inverse_pair(self.map, self.inverse)
-        qh, lh = self.q_hat, self.l_hat
+        qh, lh = cls.q_hat, cls.l_hat
         tau = PolynomialMap((_U + _V**qh, _V))
         tau_inv = PolynomialMap((_U - _V**qh, _V))
         phi = PolynomialMap((_U, _V + _U**lh))
         phi_inv = PolynomialMap((_U, _V - _U**lh))
-        norm = self.classification.normalized
+        mm, mi = (cls.normalized.to_normalized(f) for f in (self.map, self.inverse))
         if not (
             verify_inverse_pair(tau, tau_inv)
             and verify_inverse_pair(phi, phi_inv)
             and compose_chain([tau_inv, phi, tau]) == self.plane_map
             and compose_chain([tau_inv, phi_inv, tau]) == self.plane_inverse
-            and restrict_to_plane(norm.to_normalized(self.map)) == self.plane_map
-            and restrict_to_plane(norm.to_normalized(self.inverse)) == self.plane_inverse
+            and mm.coords[2] == mi.coords[2] == _Z
+            and restrict_to_plane(mm) == self.plane_map
+            and restrict_to_plane(mi) == self.plane_inverse
             and self.certificate is not None
             and self.certificate.certified
         ):
             return False
-        recheck = wildness_certificate(self.map, self.weights)
+        recheck = wildness_certificate(self.map, cls.weights)
         if not (recheck.certified and recheck.violating_degree == qh + lh - 1):
             return False
         degw = max(f.total_degree() for f in self.map.coords)
@@ -569,7 +583,7 @@ def wild_witness(weights):
         )
     if cls.reason is GradingReason.TRIVIAL_GRADING:
         nag, nag_inv = nagata_pair()
-        return WildWitness(cls.weights, cls, nag, nag_inv, externally_certified=True)
+        return WildWitness(cls, nag, nag_inv, externally_certified=True)
     norm = cls.normalized
     qh, lh = cls.q_hat, cls.l_hat
     if (1 + qh + lh * qh * (qh + 1) // 2) * qh * (lh + 1) > _MAX_WITNESS_BITS:
@@ -584,15 +598,11 @@ def wild_witness(weights):
     if not (cert.certified and cert.violating_degree == qh + lh - 1):
         raise InvariantViolation(f"witness for {cls.weights} fails its certificate")
     return WildWitness(
-        weights=cls.weights,
         classification=cls,
         map=norm.to_original(lifted),
         inverse=norm.to_original(lifted_inv),
         plane_map=eps,
         plane_inverse=eps_inv,
-        q_hat=qh,
-        l_hat=lh,
-        shear_exponent=cls.witness_p,
         certificate=cert,
     )
 
@@ -788,7 +798,9 @@ def _zero_single(mm):
     Gradedness leaves x*f(y, z) and two coordinates of weight zero, free
     of x.  The Jacobian determinant is f times the plane Jacobian of the
     last two, so the constant Jacobian test of decompose_zero_cases has
-    already made f a nonzero scalar.  Embedding (y, z) is injective and
+    already made f a nonzero scalar and the plane Jacobian a nonzero
+    constant: the descent runs without its own precheck.  Embedding
+    (y, z) is injective and
     respects composition, so the caller's final chain check covers the
     plane recomposition.
     """
@@ -851,7 +863,8 @@ def _emit_split(emitted, p):
 
 def _strip_first_shear(emitted, scale, addend):
     """Write (scale*u + addend(v), v) as a pure shear times a linear map;
-    addend has no constant term, as the walk checks the origin."""
+    addend has no constant term, as every factor the walk reads fixes
+    the origin."""
     beta, nonlin = addend.split_variable(1)
     if not nonlin.is_zero():
         emitted.append(PolynomialMap((_U + nonlin, _V)))
@@ -905,27 +918,36 @@ def rewrite_liftable_chain(chain, weights):
     if qh != 1:
         raise QHatNotOne(f"rewrite applies when the threshold exponent is 1, got {qh}")
     rg = plane_residue_grading(a, b, c)
-    return FactorChain._derived(chain.target, _rewrite_walk(chain.factors, rg))
+    return FactorChain._derived(chain.target, _rewrite_walk(_checked(chain.factors, rg)))
 
 
-def _rewrite_walk(factors, rg):
-    """Left-to-right walk keeping prefix = emitted composed with pending;
-    returns the emitted factors.
-
-    Each factor is checked as the walk reaches it, so the first faulty
-    factor decides the error: graded for rg, origin-preserving, then
-    linear or elementary; a singular linear factor is GENERAL, so it
-    raises WrongShape and the pending matrix stays invertible.  Each
-    emitted factor is graded, and none is the identity: a linear map is graded when diagonal or when u and v
-    share a weight, and an emitted shear holds terms of a graded addend.
-    """
-    emitted = []
-    pending = _ID2
+def _checked(factors, rg):
+    """The factors, each checked when the walk reaches it: graded for rg,
+    then origin-preserving, before the walk reads its shape."""
     for f in factors:
         if not rg.is_graded_map(f):
             raise NotGradedChain(f"factor {f} is not graded for {rg!r}")
         if not f.is_origin_preserving():
             raise OriginNotPreserved(f"factor {f} moves the origin")
+        yield f
+
+
+def _rewrite_walk(factors):
+    """Left-to-right walk keeping prefix = emitted composed with pending;
+    returns the emitted factors.
+
+    The factors are graded for the residue grading and fix the origin:
+    rewrite_liftable_chain checks both as each factor is reached, and
+    _mixed_pipeline's descent factors have both by proof.  The walk
+    reads each factor's shape once, linear or elementary; a singular
+    linear factor is GENERAL, so it raises WrongShape and the pending
+    matrix stays invertible.  Each emitted factor is graded, and none is
+    the identity: a linear map is graded when diagonal or when u and v
+    share a weight, and an emitted shear holds terms of a graded addend.
+    """
+    emitted = []
+    pending = _ID2
+    for f in factors:
         kind, data = _shape(f)
         if kind is MapClass.LINEAR:
             pending = matrix_product(pending, data)
@@ -945,20 +967,30 @@ def _rewrite_walk(factors, rg):
 
 def _mixed_pipeline(cls, mm):
     """Restrict, decompose, rewrite, lift: mm is graded for the normalized
-    mixed coprime weights of cls.
+    mixed coprime weights (a, b, -c) of cls.
 
-    Setting z = 1 is injective on graded maps fixing z and respects
-    composition, so the caller's final chain check covers both plane
-    recompositions.  A rewritten linear factor with a v term in its
-    first coordinate lifts only when a = b, with no z: every lift is
-    one linear or elementary factor.
+    The plane map pm is graded for the residue grading mod c, and it
+    fixes the origin: x and y have weights a, b > 0 and z has -c < 0,
+    so a monomial x^i y^j z^k of weight a or b has i + j >= 1, and
+    setting z = 1 leaves no constant term.  The descent factors are then
+    graded (decompose_plane_graded) and fix the origin
+    (decompose_plane_origin), so _rewrite_walk takes them unchecked.  The
+    later exact checks still cover a fault: lift_plane_map's
+    NotGradedPlane check and the per-factor gradedness and
+    recomposition checks of the caller's _graded_chain.  Setting z = 1
+    is injective on graded maps fixing z and respects composition, so
+    that final chain check covers both plane recompositions.  The
+    constant-Jacobian precheck runs on pm, as decompose_plane runs it.
+    A rewritten linear factor with a v term in its first coordinate
+    lifts only when a = b, with no z: every lift is one linear or
+    elementary factor.
     """
     nw = cls.normalized.weights
     scaling, zfixed = _split_z(mm)
     pm = restrict_to_plane(zfixed)
-    rg = plane_residue_grading(nw[0], nw[1], -nw[2])
+    _require_constant_jacobian(pm)
     factors, _ = _descend(pm, None)
-    return [scaling] + [_lift_or_fail(f, nw) for f in _rewrite_walk(factors, rg)]
+    return [scaling] + [_lift_or_fail(f, nw) for f in _rewrite_walk(factors)]
 
 
 def decompose_qhat_low(m, weights):

@@ -135,14 +135,15 @@ def test_criterion_4_witness_for_every_wild_grading(verdict, wild_witnesses):
         assert tuple(t for t, _ in wild_witnesses) == wild
         for (a, b, c), wit in wild_witnesses:
             w = (a, b, -c)
-            assert wit.weights == w
+            cls = wit.classification
+            assert cls.weights == w
             assert wit.verify(), w
             g = Grading(w)
             assert g.is_graded_map(wit.map) and g.is_graded_map(wit.inverse)
             cert = wit.certificate
             assert cert.certified
-            assert cert.violating_degree == wit.q_hat + wit.l_hat - 1
-            assert cert.violating_degree < cert.threshold == wit.q_hat + c
+            assert cert.violating_degree == cls.q_hat + cls.l_hat - 1
+            assert cert.violating_degree < cert.threshold == cls.q_hat + c
         # one pair checked by full literal composition, plus pinned terms
         wit = wild_witness((7, 2, -3))
         assert verify_inverse_pair(wit.map, wit.inverse)

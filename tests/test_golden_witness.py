@@ -37,9 +37,9 @@ def _digest(first, second):
 
 
 def witness_line(wit):
-    cert = wit.certificate
+    cls, cert = wit.classification, wit.certificate
     return (
-        f"{wit.weights} q={wit.q_hat} l={wit.l_hat} p={wit.shear_exponent} "
+        f"{cls.weights} q={cls.q_hat} l={cls.l_hat} p={cls.witness_p} "
         f"map={_digest(wit.map, wit.inverse)} "
         f"plane={_digest(wit.plane_map, wit.plane_inverse)} "
         f"{cert.verdict} t={cert.threshold} scale={cert.scale} "

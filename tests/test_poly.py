@@ -104,7 +104,6 @@ def test_partial_derivatives():
 def test_degrees():
     f = x * y**3 + x**2
     assert f.total_degree() == 4
-    assert f.min_total_degree() == 2
     assert f.degree_in(0) == 2
     assert f.degree_in(1) == 3
     with pytest.raises(ZeroPolynomial):

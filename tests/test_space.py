@@ -12,7 +12,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tamekit
 from tamekit import space
@@ -316,7 +316,8 @@ def test_lift_restrict_round_trip():
 
 def test_witness_7_2_3():
     wit = wild_witness((7, 2, -3))
-    assert wit.q_hat == 2 and wit.l_hat == 2 and wit.shear_exponent == 1
+    cls = wit.classification
+    assert (cls.weights, cls.q_hat, cls.l_hat, cls.witness_p) == ((7, 2, -3), 2, 2, 1)
     assert not wit.externally_certified
     assert wit.plane_map == compose_chain(
         [
@@ -344,10 +345,10 @@ def test_witness_drop_term_structure():
     # lowest term of G at degree q + l - 1 and coefficient -q there
     for weights in [(7, 2, -3), (3, 1, -1), (9, 2, -5), (11, 2, -3)]:
         wit = wild_witness(weights)
-        qh, lh = wit.q_hat, wit.l_hat
+        qh, lh = wit.classification.q_hat, wit.classification.l_hat
         drop = wit.plane_map.coords[0] - u
         assert drop.coeff((lh, qh - 1)) == -qh
-        assert drop.min_total_degree() == qh + lh - 1
+        assert min(sum(e) for e in drop.terms) == qh + lh - 1
         assert wit.verify()
 
 
@@ -381,7 +382,7 @@ def test_witness_l_hat_edge():
     # c = 1 allows l_hat = c, the one case where the conjugating shear
     # exponent meets the modulus
     wit = wild_witness((3, 1, -1))
-    assert wit.q_hat == 2 and wit.l_hat == 1
+    assert (wit.classification.q_hat, wit.classification.l_hat) == (2, 1)
     assert verify_inverse_pair(wit.map, wit.inverse)
     assert wit.verify()
 
@@ -403,11 +404,25 @@ def test_witness_with_replaced_inverse_fails_verify():
 
 _TAMPERED_UNDER_O = """
 import dataclasses
-from tamekit.maps import identity_map
+from tamekit.maps import PolynomialMap, identity_map
+from tamekit.poly import Polynomial
 from tamekit.space import wild_witness
 wit = wild_witness((7, 2, -3))
+x, y, z = Polynomial.variables(3)
+scaled = PolynomialMap((x, y, 2 * z))
 print(wit.verify(), dataclasses.replace(wit, inverse=identity_map(3)).verify())
+print(dataclasses.replace(wit, map=scaled).verify())
+print(dataclasses.replace(wit, inverse=scaled).verify())
 """
+
+
+@pytest.mark.parametrize("field", ["map", "inverse"])
+def test_witness_with_scaled_z_fails_verify(field):
+    # graded, but the third coordinate is not z: verify compares it with z
+    # before restricting, so it answers False instead of raising
+    wit = wild_witness((7, 2, -3))
+    scaled = dataclasses.replace(wit, **{field: PolynomialMap((x, y, 2 * z))})
+    assert scaled.verify() is False
 
 
 def test_witness_with_ungraded_map_fails_verify():
@@ -417,7 +432,7 @@ def test_witness_with_ungraded_map_fails_verify():
 
 def test_witness_fails_verify_when_rederived_certificate_fails(monkeypatch):
     wit = wild_witness((7, 2, -3))
-    silent = WildnessCertificate(False, wit.weights, wit.q_hat, 5, 1)
+    silent = WildnessCertificate(False, (7, 2, -3), 2, 5, 1)
     monkeypatch.setattr(space, "wildness_certificate", lambda m, w: silent)
     assert wit.verify() is False
 
@@ -430,7 +445,7 @@ def test_witness_build_raises_when_its_certificate_fails(monkeypatch):
 
 
 def test_witness_verify_holds_under_optimize_flag():
-    # python -O strips asserts; verify() must still see the replaced inverse
+    # python -O strips asserts; verify() must still see each replaced field
     src = str(Path(tamekit.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-O", "-c", _TAMPERED_UNDER_O],
@@ -439,7 +454,7 @@ def test_witness_verify_holds_under_optimize_flag():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
 def test_witness_trivial_grading_is_nagata():
@@ -462,7 +477,7 @@ def test_witness_refused_for_tame_only():
 def test_witness_size_bound_reads_the_first_coordinate(weights):
     # the bound of wild_witness: so many terms, each coefficient below 2^(q(l+1))
     wit = wild_witness(weights)
-    q, l = wit.q_hat, wit.l_hat
+    q, l = wit.classification.q_hat, wit.classification.l_hat
     first = wit.plane_map.coords[0].terms
     assert len(first) == 1 + q + l * q * (q + 1) // 2
     assert all(abs(c) < 2 ** (q * (l + 1)) for c in first.values())
@@ -1041,6 +1056,73 @@ def test_dispatch_tame_map_under_wild_weights():
     result = decompose_graded(m, (7, 2, -3))
     assert isinstance(result, FactorChain)
     assert result.factors == (m,)
+
+
+_SCALARS = (1, -1, 2, Fraction(1, 3))
+
+
+def _monomial_shears(weights, top=20):
+    """(index, monomial) for the graded shears x + k*y^j*z^t and
+    y + k*x^i*z^t of total degree at most top, for weights (a, b, -c):
+    b*j - c*t = a and a*i - c*t = b."""
+    a, b, c = weights[0], weights[1], -weights[2]
+    out = []
+    for j in range(top + 1):
+        t, r = divmod(b * j - a, c)
+        if t >= 0 and not r and j + t <= top:
+            out.append((0, y**j * z**t))
+    for i in range(1, top + 1):
+        t, r = divmod(a * i - b, c)
+        if t >= 0 and not r and i + t <= top:
+            out.append((1, x**i * z**t))
+    return out
+
+
+@st.composite
+def mixed_words(draw):
+    """Words of 1-3 graded factors under wild-admitting mixed weights: the
+    witness, its inverse, scalings and single-monomial shears."""
+    weights = draw(st.sampled_from([(7, 2, -3), (11, 3, -5)]))
+    wit = wild_witness(weights)
+    shears = _monomial_shears(weights)
+
+    def factor():
+        kind = draw(st.sampled_from(["witness", "inverse", "scaling", "shear"]))
+        if kind == "witness":
+            return wit.map
+        if kind == "inverse":
+            return wit.inverse
+        if kind == "scaling":
+            scales = [draw(st.sampled_from(_SCALARS)) for _ in range(3)]
+            return PolynomialMap(s * v for s, v in zip(scales, (x, y, z)))
+        i, mono = draw(st.sampled_from(shears))
+        coords = [x, y, z]
+        coords[i] = coords[i] + draw(st.sampled_from(_SCALARS)) * mono
+        return PolynomialMap(coords)
+
+    return weights, [factor() for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixed_words())
+def test_dispatch_never_undecided_on_mixed_words(case):
+    # the undecided branch needs an uncertified map whose rewritten plane
+    # chain leaves an unliftable factor; no word here reaches it.  A word
+    # is skipped once a prefix composite has degree above 60, which also
+    # bounds the cost of each composition.
+    weights, word = case
+    m = word[0]
+    for f in word[1:]:
+        m = compose(m, f)
+        assume(m.degree() <= 60)
+    try:
+        result = decompose_graded(m, weights)
+    except WildAdmittingUndecided:
+        pytest.fail(f"undecided under {weights}: {m}")
+    if isinstance(result, FactorChain):
+        assert result.target == m
+    else:
+        assert result.certified
 
 
 def test_dispatch_routes_by_sign_pattern():

@@ -71,7 +71,6 @@ CASES = [
     ("negative exponent", lambda: Polynomial(2, {(1, -1): 1}), ArityMismatch),
     ("variable index", lambda: Polynomial.variable(2, 2), ArityMismatch),
     ("coeff tuple length", lambda: u.coeff((1,)), ArityMismatch),
-    ("min degree of zero", lambda: ZERO.min_total_degree(), ZeroPolynomial),
     ("degree_in of zero", lambda: ZERO.degree_in(0), ZeroPolynomial),
     ("degree_in index", lambda: u.degree_in(2), ArityMismatch),
     ("split_variable index", lambda: u.split_variable(2), ArityMismatch),
