@@ -11,8 +11,11 @@ and linear maps, dispatching on the sign pattern:
 
   * strictly positive (or strictly negative) weights peel off one
     weight level at a time, lowest first;
-  * weights with a zero entry fall into four shape cases, one of which
-    is a Euclidean column reduction over K[z];
+  * weights with a zero entry normalize to four shapes.  (a, b, 0),
+    (1, 1, 0) and (1, 0, 0) peel levels in the same loop, with a level
+    0 added: the affine z line, or the plane descent on (y, z).  For
+    (1, 1, 0) the level-1 block has entries in K[z] and is reduced by
+    Euclid.  (a, 0, -c) splits off its scalings and one shear;
   * mixed-sign weights restrict to the plane by setting z = 1, run the
     Newton-polygon descent there, rewrite the plane factors into
     liftable form, and lift everything back to three variables.
@@ -27,13 +30,15 @@ and classifies the weights once: the GradingClassification is the one
 weight context passed down from there.  decompose_graded dispatches on
 its reason, handing positive and zero weights to the public
 decompose_positive and decompose_zero_cases, which check their input
-again (so zero weights are classified twice), and decompose_zero_cases
-dispatches on its zero shape; the degree test, the pipelines and the
-lifts below take the context as given and never classify, normalize or
-re-check the input map again.  Nor does the mixed pipeline re-check the
-plane descent factors it rewrites: they are graded and fix the origin
-by proof (see _mixed_pipeline), and only the public
-rewrite_liftable_chain checks the factors it is given.
+again (so zero weights are classified twice).  Both end in one level
+loop, _peel_levels, which also factors the triangular maps of the
+trivial grading; decompose_zero_cases sends only (a, 0, -c) elsewhere.
+The degree test, the pipelines and the lifts below take the context
+as given and never classify, normalize or re-check the input map
+again.  Nor does the mixed pipeline re-check the plane descent factors
+it rewrites: they are graded and fix the origin by proof (see
+_mixed_pipeline), and only the public rewrite_liftable_chain checks the
+factors it is given.
 
 Everything is exact rational arithmetic; no floating point enters.
 """
@@ -480,8 +485,9 @@ class WildWitness:
         stays only because bench/layers.py reads the default of
         compose_cap.
         Returns True when every check holds and False at the first that
-        fails; no check is an assert, so the answer is the same under
-        ``python -O``.
+        fails, a record whose classification has no shears to build (it
+        is not mixed with q_hat >= 2) included; no check is an assert, so
+        the answer is the same under ``python -O``.
         """
         cls = self.classification
         g = Grading(cls.weights)
@@ -489,6 +495,8 @@ class WildWitness:
             return False
         if self.externally_certified:
             return verify_inverse_pair(self.map, self.inverse)
+        if cls.reason is not GradingReason.Q_HAT_AT_LEAST_TWO:
+            return False
         qh, lh = cls.q_hat, cls.l_hat
         tau = PolynomialMap((_U + _V**qh, _V))
         tau_inv = PolynomialMap((_U - _V**qh, _V))
@@ -608,40 +616,77 @@ def wild_witness(weights):
 
 
 # ---------------------------------------------------------------------------
-# strictly positive (or strictly negative) weights: peel weight levels
+# weights without a negative entry: peel weight levels
 
-def decompose_positive(m, weights):
-    """Decompose a graded map when all weights share one strict sign.
+def _peel_levels(m, w):
+    """The factors of m, lowest weight level first, for nonnegative
+    weights w with at most two zeros.
 
-    Works in any number of variables.  Writing V_d for the variables of
-    weight d, gradedness confines coords on V_d to an invertible linear
-    block over V_d plus polynomials in strictly lower-weight variables,
-    so the map is a product, lowest level first, of one linear stage
-    and commuting single-variable shears per level.  A singular block
-    proves the map is not an automorphism; matrix_inverse finds it, so
-    each block's determinant is computed once.
+    Write V_d for the variables of weight d.  The loop needs each
+    coordinate on V_d to be a unit block over V_d plus a tail in
+    strictly lower levels: gradedness gives this in the graded cases
+    below, and triangularity gives it for the trivial grading, where
+    _decompose_trivial puts x above y above z.  Each factor changes the
+    coordinates of one level only, into polynomials in that level and
+    lower ones, which the factors after it fix; so the chain recomposes
+    with every tail as read, and nothing is substituted.  Level 0 is the
+    affine coordinate of a single weight-0 variable, or the plane
+    descent on two.  Every other level is one linear stage and
+    commuting single-variable shears.  A singular block proves the map
+    is not an automorphism; matrix_inverse finds it, so each block's
+    determinant is computed once.
+
+    For positive weights a monomial of weight d has no variable of
+    weight above d, and one that has a variable of V_d is that variable
+    alone: the block is constant.  The zero-weight shapes left by
+    normalizing are (a, b, 0) with a > b, (1, 1, 0) and (1, 0, 0).  In
+    each the Jacobian determinant is the level-0 Jacobian times the
+    block determinants, so the constant Jacobian test of
+    decompose_zero_cases has made each of them a unit:
+
+      * (a, b, 0): gradedness leaves x*r(z) + y^(a/b)*s(z) (the second
+        term only when b divides a), y*q(z) and p(z), with determinant
+        r*q*p'.  So r and q are nonzero scalars and p is linear in z.
+      * (1, 1, 0): A*x + B*y, C*x + D*y and p(z) with A, B, C, D in
+        K[z], with determinant (A*D - B*C)*p'.  The block's entries lie
+        in K[z], so _euclid_block reduces it, not matrix_inverse.
+      * (1, 0, 0): x*f(y, z) and a plane map (y, z) -> (g, h) free of
+        x, with determinant f*J_plane.  So f is a nonzero scalar and the
+        plane Jacobian a nonzero constant: the descent runs without its
+        own precheck.  Embedding (y, z) is injective and respects
+        composition, so the caller's final chain check covers the plane
+        recomposition.
     """
-    given = _check_weights(weights)
-    if len(given) != m.arity:
-        raise ArityMismatch(
-            f"{len(given)} weights for a map of arity {m.arity}"
-        )
-    w = tuple(-v for v in given) if all(v < 0 for v in given) else given
-    if not all(v > 0 for v in w):
-        raise WrongShape(f"weights {given} are not of one strict sign")
-    _check_graded(m, given)
     n = m.arity
     xs = Polynomial.variables(n)
+    zeros = [i for i in range(n) if w[i] == 0]
     factors = []
-    for level in sorted(set(w)):
+    if len(zeros) == 2:
+        # the normalized weights are (1, 0, 0)
+        drop_x = lambda e: e[1:]
+        embed = lambda e: (0, *e)
+        pm = PolynomialMap(c.map_exponents(2, drop_x) for c in m.coords[1:])
+        for f in _descend(pm, None)[0]:
+            embedded = (c.map_exponents(3, embed) for c in f.coords)
+            factors.append(PolynomialMap((_X, *embedded)))
+    elif zeros:
+        coords = list(xs)
+        coords[zeros[0]] = m.coords[zeros[0]]
+        factors.append(PolynomialMap(coords))
+    for level in sorted(set(w) - {0}):
         idxs = [i for i in range(n) if w[i] == level]
+        if zeros and len(idxs) == 2:
+            # normalized (1, 1, 0): gradedness puts exactly one of x, y in
+            # each monomial, so the entries are the partials and no tail is left
+            entries = (m.coords[i].partial(j) for i in idxs for j in idxs)
+            factors += _euclid_block(*entries)
+            continue
         block, tails = [], []
         for i in idxs:
             row, tail = [], m.coords[i]
             for j in idxs:
                 scale, tail = tail.split_variable(j)
                 row.append(scale)
-            # the NotGraded check confines the tail to lower-weight variables
             block.append(row)
             tails.append(tail)
         try:
@@ -661,32 +706,7 @@ def decompose_positive(m, weights):
             coords = list(xs)
             coords[i] = xs[i] + acc
             factors.append(PolynomialMap(coords))
-    return _graded_chain(m, factors, w)
-
-
-# ---------------------------------------------------------------------------
-# weights with a zero entry: four shape cases
-
-def _zero_distinct_pair(mm):
-    """Weights (a, b, 0) with a > b >= 1.
-
-    Gradedness leaves x*r(z) + y^(a/b)*s(z) (the second term only when b
-    divides a), y*q(z) and p(z).  The Jacobian matrix is triangular with
-    determinant r*q*p', so the constant Jacobian test of
-    decompose_zero_cases has already made r and q nonzero scalars and p
-    linear in z: the coefficients are read off directly.
-    """
-    f, g, h = mm.coords
-    lam1, rest = f.split_variable(0)
-    kappa, shift = h.split_variable(2)
-    # push the z line through the shear so the chain ends with it
-    z_inverse = (_Z - shift) * _div(1, kappa)
-    addend = rest.substitute((_X, _Y, z_inverse))
-    return [
-        PolynomialMap((lam1 * _X, g, _Z)),
-        PolynomialMap((_X + addend * _div(1, lam1), _Y, _Z)),
-        PolynomialMap((_X, _Y, h)),
-    ]
+    return factors
 
 
 def _zdivmod(num, den):
@@ -704,29 +724,16 @@ def _zdivmod(num, den):
     return q, r
 
 
-def _z_matrix_entry(coord, var_index):
-    # the coefficient of x (var_index 0) or y in coord, a polynomial in z
-    num = {(0, 0, e[2]): c for e, c in coord._num.items() if e[var_index] == 1}
-    return Polynomial._raw(3, num, coord._den)
+def _euclid_block(A, B, C, D):
+    """The factors of (A*x + B*y, C*x + D*y, z) for A, B, C, D in K[z]
+    with A*D - B*C a nonzero scalar, by Euclid over K[z].
 
-
-def _zero_equal_pair(mm):
-    """Weights (1, 1, 0): a 2x2 matrix over K[z], reduced by Euclid.
-
-    Gradedness leaves A*x + B*y, C*x + D*y and p(z) with A, B, C, D in
-    K[z], so the Jacobian determinant is (A*D - B*C)*p': the constant
-    Jacobian test of decompose_zero_cases has already made A*D - B*C a
-    nonzero scalar and p linear in z.  The first column is cleared by
-    row operations; each operation is an elementary map over K[z] whose
-    inverse joins the chain.  The gcd of the column divides the constant
-    determinant, so the loop ends with a unit in the corner.
+    The first column is cleared by row operations; each operation is an
+    elementary map over K[z] whose inverse joins the chain.  The gcd of
+    the column divides the constant determinant, so the loop ends with
+    a unit in the corner.
     """
-    # the NotGraded check puts exactly one of x, y in each monomial of A..D
-    A = _z_matrix_entry(mm.coords[0], 0)
-    B = _z_matrix_entry(mm.coords[0], 1)
-    C = _z_matrix_entry(mm.coords[1], 0)
-    D = _z_matrix_entry(mm.coords[1], 1)
-    factors = [PolynomialMap((_X, _Y, mm.coords[2]))]
+    factors = []
     while not C.is_zero():
         if A.is_zero():
             # pull the second row up so the usual degree reduction applies
@@ -746,6 +753,28 @@ def _zero_equal_pair(mm):
     factors.append(PolynomialMap((_X + B * _Y * _div(1, lamA), _Y, _Z)))
     return factors
 
+
+def decompose_positive(m, weights):
+    """Decompose a graded map when all weights share one strict sign.
+
+    Works in any number of variables.  All-negative weights give the
+    same grading as their negatives, and _peel_levels factors the map,
+    one weight level at a time, lowest first.
+    """
+    given = _check_weights(weights)
+    if len(given) != m.arity:
+        raise ArityMismatch(
+            f"{len(given)} weights for a map of arity {m.arity}"
+        )
+    w = tuple(-v for v in given) if all(v < 0 for v in given) else given
+    if not all(v > 0 for v in w):
+        raise WrongShape(f"weights {given} are not of one strict sign")
+    _check_graded(m, given)
+    return _graded_chain(m, _peel_levels(m, w), w)
+
+
+# ---------------------------------------------------------------------------
+# weights with a zero entry
 
 def _scalars_and_shear(mm, open_idx):
     """Maps whose z coordinate and one of x, y only rescale: the open
@@ -792,41 +821,14 @@ def _scalars_and_shear(mm, open_idx):
     return [PolynomialMap(diag), PolynomialMap(shear)]
 
 
-def _zero_single(mm):
-    """Weights (1, 0, 0): x rescales, and (y, z) is any plane automorphism.
-
-    Gradedness leaves x*f(y, z) and two coordinates of weight zero, free
-    of x.  The Jacobian determinant is f times the plane Jacobian of the
-    last two, so the constant Jacobian test of decompose_zero_cases has
-    already made f a nonzero scalar and the plane Jacobian a nonzero
-    constant: the descent runs without its own precheck.  Embedding
-    (y, z) is injective and
-    respects composition, so the caller's final chain check covers the
-    plane recomposition.
-    """
-    drop_x = lambda e: e[1:]
-    embed = lambda e: (0, *e)
-    pm = PolynomialMap((c.map_exponents(2, drop_x) for c in mm.coords[1:]))
-    factors = [PolynomialMap((mm.coords[0].coeff((1, 0, 0)) * _X, _Y, _Z))]
-    for f in _descend(pm, None)[0]:
-        embedded = (c.map_exponents(3, embed) for c in f.coords)
-        factors.append(PolynomialMap((_X, *embedded)))
-    return factors
-
-
-_ZERO_CASES = {
-    ZeroWeightShape.DISTINCT_POSITIVE_PAIR: _zero_distinct_pair,
-    ZeroWeightShape.EQUAL_POSITIVE_PAIR: _zero_equal_pair,
-    ZeroWeightShape.POSITIVE_AND_NEGATIVE: lambda mm: _scalars_and_shear(mm, 1),
-    ZeroWeightShape.SINGLE_POSITIVE: _zero_single,
-}
-
-
 def decompose_zero_cases(m, weights):
     """Decompose a graded automorphism when some weight is zero.
 
     Normalization leaves four shapes: (a, b, 0) with a > b, (1, 1, 0),
-    (a, 0, -c), and (1, 0, 0).  Translations in the weight-zero
+    (a, 0, -c), and (1, 0, 0).  The constant Jacobian test runs first;
+    then (a, 0, -c) splits off its scalings and one shear, and the other
+    three shapes peel weight levels as positive weights do, with a
+    level 0 added (see _peel_levels).  Translations in the weight-zero
     variables are graded and are handled (the zero-weight chains are
     the one place constants can appear).
     """
@@ -840,7 +842,10 @@ def decompose_zero_cases(m, weights):
     _check_graded(m, cls.weights)
     mm = cls.normalized.to_normalized(m)
     _require_constant_jacobian(mm)
-    factors = _ZERO_CASES[cls.zero_shape](mm)
+    if cls.zero_shape is ZeroWeightShape.POSITIVE_AND_NEGATIVE:
+        factors = _scalars_and_shear(mm, 1)
+    else:
+        factors = _peel_levels(mm, cls.normalized.weights)
     return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
@@ -1012,31 +1017,21 @@ def decompose_qhat_low(m, weights):
     return _graded_chain(m, factors, cls.weights, cls.normalized)
 
 
-def _split_triangular(m):
-    """Factor a triangular three-variable map into a diagonal, two shears
-    and a translation of z."""
-    (lam1, f1), (lam2, f2), (lam3, f3) = (
-        c.split_variable(i) for i, c in enumerate(m.coords)
-    )
-    nu = _div(f3.constant_term(), lam3)
-    g2 = f2.substitute((_X, _Y, _Z - nu)) * _div(1, lam2)
-    g1 = f1.substitute((_X, _Y - g2, _Z - nu)) * _div(1, lam1)
-    return [
-        PolynomialMap((lam1 * _X, lam2 * _Y, lam3 * _Z)),
-        PolynomialMap((_X + g1, _Y, _Z)),
-        PolynomialMap((_X, _Y + g2, _Z)),
-        PolynomialMap((_X, _Y, _Z + nu)),
-    ]
-
-
 def _decompose_trivial(m):
     """The factors of m for zero weights: every map is graded, so only
     shaped cases decompose.  The constant Jacobian test runs first, as in
-    decompose_zero_cases; every class but GENERAL is an automorphism."""
+    decompose_zero_cases; every class but GENERAL is an automorphism.
+
+    A triangular map goes to _peel_levels with x above y above z.  The
+    loop needs each level's coordinates to be a unit block over that
+    level plus a tail in strictly lower levels; in the graded cases
+    gradedness gives this, and here triangularity does: each coordinate
+    is a nonzero multiple of its variable plus a polynomial in the later
+    ones."""
     _require_constant_jacobian(m)
     cls = classify_map(m)
     if cls is MapClass.TRIANGULAR:
-        return _split_triangular(m)
+        return _peel_levels(m, (2, 1, 0))
     if cls is not MapClass.GENERAL:
         return [m]
     raise WildAdmittingUndecided(

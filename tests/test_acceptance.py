@@ -4,7 +4,9 @@ Every test drives the package end to end with exact arithmetic on the
 seeded corpora of ``corpora.py``, which the goldens share, then records
 a single PASS/FAIL verdict line that pytest prints after the run.
 Tolerances are exact equality throughout; the only numeric bound is
-the wall-clock budget on the plane round trip.
+the wall-clock budget on the plane round trip.  Every check goes
+through _check, not assert, so the verdicts are the same under
+``python -O``.
 """
 
 import time
@@ -39,6 +41,13 @@ u, v = Polynomial.variables(2)
 x, y, z = Polynomial.variables(3)
 
 
+def _check(ok, *context):
+    """Fail the running test unless ok; the context, if any, names the
+    input.  pytest.fail raises whether or not asserts are stripped."""
+    if not ok:
+        pytest.fail("check failed" + "".join(f": {c!r}" for c in context))
+
+
 @contextmanager
 def _scored(record, number, label):
     try:
@@ -56,16 +65,16 @@ def _scored(record, number, label):
 def test_criterion_1_plane_round_trip(verdict):
     with _scored(verdict, 1, "500 plane tame maps round trip in under 60s"):
         golden = corpora.plane_golden_lines()
-        assert len(golden) == 500
+        _check(len(golden) == 500)
         start = time.monotonic()
         for i, m in corpora.criterion_1_maps():
             areas = []
             chain = decompose_plane(m, trace=lambda cur, area: areas.append(area))
-            assert chain.composed() == m
-            assert corpora.chain_line(i, chain) == golden[i]
+            _check(chain.composed() == m)
+            _check(corpora.chain_line(i, chain) == golden[i])
             # the Newton polygon area must shrink strictly at every step
-            assert all(later < earlier for earlier, later in zip(areas, areas[1:]))
-        assert time.monotonic() - start < 60.0
+            _check(all(later < earlier for earlier, later in zip(areas, areas[1:])))
+        _check(time.monotonic() - start < 60.0)
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +107,10 @@ def test_criterion_2_rejects_non_automorphisms(verdict):
             (u**2 - v**2, u + v),
             (u + u**2 * v**2, v),
         ]
-        assert len(bad) >= 20
+        _check(len(bad) >= 20)
         for coords in bad:
             m = PolynomialMap(coords)
-            assert not is_plane_automorphism(m), m
+            _check(not is_plane_automorphism(m), m)
             with pytest.raises(NotAnAutomorphism):
                 decompose_plane(m)
 
@@ -113,43 +122,43 @@ def test_criterion_2_rejects_non_automorphisms(verdict):
 def test_criterion_3_wildness_boundary(verdict):
     with _scored(verdict, 3, "classification matches direct search on 14207 weight triples"):
         triples = corpora.mixed_sweep()
-        assert len(triples) == 14207
+        _check(len(triples) == 14207)
         wild = 0
         for a, b, c in triples:
             cls = classify_grading((a, b, -c))
             expected = corpora.directly_wild(a, b, c)
-            assert cls.admits_wild == expected, (a, b, c)
-            assert (cls.q_hat >= 2) == expected, (a, b, c)
+            _check(cls.admits_wild == expected, (a, b, c))
+            _check((cls.q_hat >= 2) == expected, (a, b, c))
             if expected:
                 wild += 1
-                assert cls.witness_q >= 2 and cls.witness_p >= 1
-                assert a == cls.witness_q * b + cls.witness_p * c
-        assert wild == len(corpora.wild_triples()) == 1527
+                _check(cls.witness_q >= 2 and cls.witness_p >= 1)
+                _check(a == cls.witness_q * b + cls.witness_p * c)
+        _check(wild == len(corpora.wild_triples()) == 1527)
 
 
 def test_criterion_4_witness_for_every_wild_grading(verdict, wild_witnesses):
     with _scored(verdict, 4, "explicit wild witnesses verify for all 1527 wild gradings"):
         wild = corpora.wild_triples()
-        assert len(wild) == 1527
+        _check(len(wild) == 1527)
         # the witnesses are built once per session (see conftest.py)
-        assert tuple(t for t, _ in wild_witnesses) == wild
+        _check(tuple(t for t, _ in wild_witnesses) == wild)
         for (a, b, c), wit in wild_witnesses:
             w = (a, b, -c)
             cls = wit.classification
-            assert cls.weights == w
-            assert wit.verify(), w
+            _check(cls.weights == w)
+            _check(wit.verify(), w)
             g = Grading(w)
-            assert g.is_graded_map(wit.map) and g.is_graded_map(wit.inverse)
+            _check(g.is_graded_map(wit.map) and g.is_graded_map(wit.inverse))
             cert = wit.certificate
-            assert cert.certified
-            assert cert.violating_degree == cls.q_hat + cls.l_hat - 1
-            assert cert.violating_degree < cert.threshold == cls.q_hat + c
+            _check(cert.certified)
+            _check(cert.violating_degree == cls.q_hat + cls.l_hat - 1)
+            _check(cert.violating_degree < cert.threshold == cls.q_hat + c)
         # one pair checked by full literal composition, plus pinned terms
         wit = wild_witness((7, 2, -3))
-        assert verify_inverse_pair(wit.map, wit.inverse)
-        assert verify_inverse_pair(wit.plane_map, wit.plane_inverse)
-        assert wit.map.coords[0].coeff((2, 1, 3)) == -2
-        assert wit.map.coords[0].coeff((0, 5, 1)) == -2
+        _check(verify_inverse_pair(wit.map, wit.inverse))
+        _check(verify_inverse_pair(wit.plane_map, wit.plane_inverse))
+        _check(wit.map.coords[0].coeff((2, 1, 3)) == -2)
+        _check(wit.map.coords[0].coeff((0, 5, 1)) == -2)
 
 
 # ----------------------------------------------------------------------
@@ -159,12 +168,12 @@ def test_criterion_4_witness_for_every_wild_grading(verdict, wild_witnesses):
 def test_criterion_5_nagata(verdict):
     with _scored(verdict, 5, "Nagata pair inverts, preserves the quadric, has Jacobian 1"):
         nag, nag_inv = nagata_pair()
-        assert verify_inverse_pair(nag, nag_inv)
+        _check(verify_inverse_pair(nag, nag_inv))
         quadric = x**2 - y * z
-        assert quadric.substitute(nag.coords) == quadric
-        assert quadric.substitute(nag_inv.coords) == quadric
-        assert constant_jacobian(nag) == 1
-        assert constant_jacobian(nag_inv) == 1
+        _check(quadric.substitute(nag.coords) == quadric)
+        _check(quadric.substitute(nag_inv.coords) == quadric)
+        _check(constant_jacobian(nag) == 1)
+        _check(constant_jacobian(nag_inv) == 1)
 
 
 
@@ -180,36 +189,36 @@ def test_criterion_6_lifting(verdict):
         plane_maps, space_maps = corpora.lifting_maps()
         for pm in plane_maps:
             rep = lift_plane_map(pm, w)
-            assert rep.liftable, pm
-            assert rep.lifted.coords[2] == z
-            assert g.is_graded_map(rep.lifted)
-            assert restrict_to_plane(rep.lifted) == pm
+            _check(rep.liftable, pm)
+            _check(rep.lifted.coords[2] == z)
+            _check(g.is_graded_map(rep.lifted))
+            _check(restrict_to_plane(rep.lifted) == pm)
 
         # a graded map fixing z is pinned down by its plane restriction
         for m in space_maps:
             rep = lift_plane_map(restrict_to_plane(m), w)
-            assert rep.liftable
-            assert rep.lifted == m
+            _check(rep.liftable)
+            _check(rep.lifted == m)
 
         rep = lift_plane_map(PolynomialMap((u + v**2, v)), w)
-        assert not rep.liftable
-        assert rep.obstruction.kind is ObstructionKind.LOW_MONOMIAL
-        assert rep.obstruction.coordinate == 0
-        assert rep.obstruction.exponents == (0, 2)
+        _check(not rep.liftable)
+        _check(rep.obstruction.kind is ObstructionKind.LOW_MONOMIAL)
+        _check(rep.obstruction.coordinate == 0)
+        _check(rep.obstruction.exponents == (0, 2))
 
         rep = lift_plane_map(PolynomialMap((v, u)), (5, 2, -3))
-        assert not rep.liftable
-        assert rep.obstruction.kind is ObstructionKind.LOW_MONOMIAL
-        assert rep.obstruction.exponents == (0, 1)
+        _check(not rep.liftable)
+        _check(rep.obstruction.kind is ObstructionKind.LOW_MONOMIAL)
+        _check(rep.obstruction.exponents == (0, 1))
 
         rep = lift_plane_map(PolynomialMap((u, v + 1)), (2, 1, -1))
-        assert not rep.liftable
-        assert rep.obstruction.kind is ObstructionKind.FREE_TERM
-        assert rep.obstruction.coordinate == 1
+        _check(not rep.liftable)
+        _check(rep.obstruction.kind is ObstructionKind.FREE_TERM)
+        _check(rep.obstruction.coordinate == 1)
 
         rep = lift_plane_map(PolynomialMap((u + v**2, v)), (2, 1, -1))
-        assert rep.liftable
-        assert rep.lifted == PolynomialMap((x + y**2, y, z))
+        _check(rep.liftable)
+        _check(rep.lifted == PolynomialMap((x + y**2, y, z)))
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +234,10 @@ def _decomposed(tag):
     pairs = []
     for m in maps:
         chain = decompose_graded(m, weights)
-        assert isinstance(chain, FactorChain)
-        assert chain.composed() == m
+        _check(isinstance(chain, FactorChain))
+        _check(chain.composed() == m)
         for fac in chain.factors:
-            assert g.is_graded_map(fac)
+            _check(g.is_graded_map(fac))
             invert_factor(fac)
         pairs.append((m, chain))
     return weights, pairs
@@ -246,7 +255,7 @@ def test_criterion_8_qhat_low_pipelines(verdict):
             for _, chain in pairs:
                 for fac in chain.factors:
                     if fac.coords[2] == z:
-                        assert lift_plane_map(restrict_to_plane(fac), weights).liftable
+                        _check(lift_plane_map(restrict_to_plane(fac), weights).liftable)
 
 
 def test_criterion_9_positive_pipelines(verdict):
@@ -254,4 +263,4 @@ def test_criterion_9_positive_pipelines(verdict):
         for tag in ("pos112", "pos123"):
             weights, pairs = _decomposed(tag)
             for m, _ in pairs:
-                assert verify_inverse_pair(m, invert_graded(m, weights))
+                _check(verify_inverse_pair(m, invert_graded(m, weights)))

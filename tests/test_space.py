@@ -425,6 +425,18 @@ def test_witness_with_scaled_z_fails_verify(field):
     assert scaled.verify() is False
 
 
+def test_witness_with_unmixed_classification_fails_verify():
+    # neither record has shears to build: verify answers, it does not raise
+    mixed_as_trivial = dataclasses.replace(
+        wild_witness((7, 2, -3)), classification=classify_grading((0, 0, 0))
+    )
+    uncertified_nagata = dataclasses.replace(
+        wild_witness((0, 0, 0)), externally_certified=False
+    )
+    assert mixed_as_trivial.verify() is False
+    assert uncertified_nagata.verify() is False
+
+
 def test_witness_with_ungraded_map_fails_verify():
     wit = wild_witness((7, 2, -3))
     assert dataclasses.replace(wit, map=PolynomialMap((x + 1, y, z))).verify() is False
@@ -639,10 +651,13 @@ def test_positive_seeded_corpus():
 def test_zero_distinct_pair_oracle():
     m = PolynomialMap((3 * x + y**2 * z**4, 5 * y, 2 * z + 3))
     chain = decompose_zero_cases(m, (2, 1, 0))
-    assert chain.composed() == m
-    assert chain.factors[0] == PolynomialMap((3 * x, 5 * y, z))
-    assert chain.factors[-1] == PolynomialMap((x, y, 2 * z + 3))
-    assert len(chain.factors) == 3
+    # lowest weight level first: the z line, then y, then x
+    assert chain.factors == (
+        PolynomialMap((x, y, 2 * z + 3)),
+        PolynomialMap((x, 5 * y, z)),
+        PolynomialMap((3 * x, y, z)),
+        PolynomialMap((x + Fraction(1, 3) * y**2 * z**4, y, z)),
+    )
     g = Grading((2, 1, 0))
     assert all(g.is_graded_map(f) for f in chain.factors)
     assert verify_inverse_pair(m, invert_graded(m, (2, 1, 0)))
@@ -722,11 +737,12 @@ def test_zero_pos_neg_rejects_fat_coordinates():
 def test_zero_single_positive_embeds_plane():
     m = PolynomialMap((2 * x, z + (y + z**2) ** 3, y + z**2))
     chain = decompose_zero_cases(m, (1, 0, 0))
+    # the plane factors of level 0 come first, the x scaling last
     assert chain.factors == (
-        PolynomialMap((2 * x, y, z)),
         PolynomialMap((x, z, y)),
         PolynomialMap((x, y, y**3 + z)),
         PolynomialMap((x, z**2 + y, z)),
+        PolynomialMap((2 * x, y, z)),
     )
     assert verify_inverse_pair(m, invert_graded(m, (1, 0, 0)))
 
@@ -745,9 +761,10 @@ def test_zero_single_positive_allows_translations():
 def test_zero_cases_permuted_weights():
     m = PolynomialMap((x + 5, y + z**2, z))
     chain = decompose_zero_cases(m, (0, 2, 1))
+    # x has weight 0, so its translation is the level-0 factor
     assert chain.factors == (
-        PolynomialMap((x, z**2 + y, z)),
         PolynomialMap((x + 5, y, z)),
+        PolynomialMap((x, z**2 + y, z)),
     )
     g = Grading((0, 2, 1))
     assert all(g.is_graded_map(f) for f in chain.factors)
@@ -1177,6 +1194,15 @@ def test_dispatch_trivial_grading_shapes():
     chain = decompose_graded(tri, (0, 0, 0))
     assert chain.composed() == tri
     assert verify_inverse_pair(tri, invert_graded(tri, (0, 0, 0)))
+    # triangular maps peel levels with x above y above z
+    tri = PolynomialMap((2 * x + y**2 * z, 3 * y + z**2, -z + 1))
+    assert decompose_graded(tri, (0, 0, 0)).factors == (
+        PolynomialMap((x, y, -z + 1)),
+        PolynomialMap((x, 3 * y, z)),
+        PolynomialMap((x, y + Fraction(1, 3) * z**2, z)),
+        PolynomialMap((2 * x, y, z)),
+        PolynomialMap((x + Fraction(1, 2) * y**2 * z, y, z)),
+    )
     with pytest.raises(NotAnAutomorphism):
         decompose_graded(PolynomialMap((x + y, x + y + 1, z)), (0, 0, 0))
     wit = wild_witness((0, 0, 0))
