@@ -349,11 +349,11 @@ def lift_plane_map(pm, weights):
     rg = plane_residue_grading(a, b, c)
     if not rg.is_graded_map(pm):
         raise NotGradedPlane(f"{pm} is not graded for {rg!r}")
-    for (i, j) in sorted(pm.coords[0]._num):
-        if i == 0 and b * j < a:
-            return LiftReport(
-                False, LiftObstruction(ObstructionKind.LOW_MONOMIAL, 0, (i, j))
-            )
+    low = min((j for (i, j) in pm.coords[0]._num if not i and b * j < a), default=None)
+    if low is not None:
+        return LiftReport(
+            False, LiftObstruction(ObstructionKind.LOW_MONOMIAL, 0, (0, low))
+        )
     if (0, 0) in pm.coords[1]._num:
         return LiftReport(
             False, LiftObstruction(ObstructionKind.FREE_TERM, 1, (0, 0))

@@ -12,12 +12,13 @@ denominator that shares no factor with all of them.
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tamekit import poly
-from tamekit.maps import PolynomialMap, jacobian_det
+from tamekit.maps import PolynomialMap, compose, jacobian_det
 from tamekit.poly import Polynomial, _shear_of
 
 sympy = pytest.importorskip("sympy")
@@ -112,6 +113,77 @@ def test_product_matches_sympy(pair):
     a, b = pair
     names = TARGET[: a.arity]
     assert_matches(a * b, to_sympy(a, names) * to_sympy(b, names), names)
+
+
+def dense_plane(n, shift=0):
+    # n plane terms (n <= 256) on distinct exponents up to 15, with
+    # fractional coefficients of both signs
+    return Polynomial(2, {
+        (k % 16, (k // 16 + 3 * k + shift) % 16): Fraction((-1) ** k * (k + shift + 1), k % 5 + 2)
+        for k in range(n)
+    })
+
+
+def sympy_poly(p):
+    coeffs = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *TARGET[: p.arity], domain="QQ")
+
+
+def rows_branch_runs(a, b):
+    # whether a * b goes through _convolve's x-degree rows
+    with mock.patch.object(poly, "_rows", wraps=poly._rows) as rows:
+        product = a * b
+    return product, rows.called
+
+
+# 25-40 nonzero terms a side: every drawn product is past the threshold
+dense_planes = st.dictionaries(
+    st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    coeffs.filter(bool),
+    min_size=25,
+    max_size=40,
+).map(lambda d: Polynomial(2, d))
+DENSE_P, DENSE_Q = dense_plane(32), dense_plane(27, 5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dense_planes, dense_planes)
+@example(dense_plane(7), dense_plane(73, 5))  # 511 term pairs: the pair loop
+@example(dense_plane(16), dense_plane(32, 5))  # 512 term pairs: the rows
+@example(DENSE_P + DENSE_Q, DENSE_P - DENSE_Q)  # the cross sums cancel
+def test_dense_plane_product_matches_sympy(a, b):
+    product, by_rows = rows_branch_runs(a, b)
+    assert by_rows == (len(a.terms) * len(b.terms) >= poly._ROWS_MIN_PAIRS)
+    # sympy's own sparse product: expanding expressions this long is slow
+    expected = (sympy_poly(a) * sympy_poly(b)).as_dict()
+    assert_canonical(product)
+    assert product.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expected.items()}
+
+
+def test_dense_rows_whose_sums_all_cancel_leave_zero():
+    # x^2*y - x*y^2 at (p, p) is p^3 - p^3: substitute adds both groups'
+    # rows products into one accumulator, where every sum cancels
+    p = dense_plane(30)
+    with mock.patch.object(poly, "_rows", wraps=poly._rows) as rows:
+        zero = (x**2 * y - x * y**2).substitute((p, p))
+    assert rows.called
+    assert zero.is_zero()
+    assert_canonical(zero)
+
+
+def test_dense_composed_automorphism_has_its_constant_jacobian():
+    m = compose(
+        compose(
+            PolynomialMap((x + Fraction(2, 3) * y**4 - y**3, y)),
+            PolynomialMap((x, y - Fraction(1, 2) * x**3 + 2 * x**2)),
+        ),
+        PolynomialMap((3 * x + y**2 + 1, Fraction(1, 5) * y)),
+    )
+    f, g = m.coords
+    # both Jacobian products are past the threshold
+    assert len(f.partial(0).terms) * len(g.partial(1).terms) >= poly._ROWS_MIN_PAIRS
+    assert len(f.partial(1).terms) * len(g.partial(0).terms) >= poly._ROWS_MIN_PAIRS
+    assert jacobian_det(m) == Fraction(3, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,6 +456,12 @@ def test_substitute_near_shear_matches_sympy(f, images):
 @example((Fraction(1, 4) * x * y**2 + Fraction(1, 2) * y**4, 1))  # over 4, then 2
 @example((Fraction(1, 2) * y**2 + Fraction(1, 4) * x * y**4, 1))  # turns whole
 @example((Fraction(2, 3) * x**3 * y - Fraction(1, 3) * y**5 + x, 0))  # e = 3: whole
+# the unrolled three-variable cases, one per index
+@example((Fraction(1, 6) * X**3 * Z + Fraction(1, 2) * Y**2 * Z - X, 1))  # turns whole
+@example((X * Y**3 * Z**2 - Fraction(2, 3) * Y + Z, 1))
+@example((Fraction(1, 4) * X * Z**2 + Fraction(1, 2) * Y * Z**4 - 3 * Z, 2))  # over 2
+@example((X**2 * Y + Fraction(5, 7) * Y * Z**3 - Z, 2))
+@example((Polynomial(1, {(3,): Fraction(1, 3), (1,): 2}), 0))  # one variable: the generic path
 def test_partial_matches_sympy(case):
     f, index = case
     names = TARGET[: f.arity]

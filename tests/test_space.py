@@ -263,6 +263,16 @@ def test_lift_oracles():
     assert report.obstruction == LiftObstruction(
         ObstructionKind.LOW_MONOMIAL, 0, (0, 2)
     )
+    # v and v^4 both sit below a = 11 (b*j < a); the report names v
+    # whichever order the first coordinate's terms were stored in
+    orders = (u + v + v**4, v**4 + v + u)
+    assert [list(f.terms) for f in orders] == [[(1, 0), (0, 1), (0, 4)], [(0, 4), (0, 1), (1, 0)]]
+    for first in orders:
+        report = lift_plane_map(PolynomialMap((first, v)), (11, 2, -3))
+        assert not report.liftable
+        assert report.obstruction == LiftObstruction(
+            ObstructionKind.LOW_MONOMIAL, 0, (0, 1)
+        )
     # free terms in the second coordinate only slip past the residue
     # grading when c = 1
     report = lift_plane_map(PolynomialMap((u, v + 1)), (2, 1, -1))
