@@ -49,7 +49,7 @@ from .jung import (
 from .maps import classify_map, compose_chain, verify_inverse_pair
 from .named import example_names, get_example
 from .newton import newton_polygon, polygon_area
-from .parsing import MapDocument, parse_map, parse_polynomial, parse_weights
+from .parsing import parse_document, parse_map, parse_polynomial, parse_weights
 from .space import (
     WildnessCertificate,
     classify_grading,
@@ -63,7 +63,7 @@ from .space import (
 
 
 def _load_map(text):
-    """A map argument plus its JSON document, when it came as one."""
+    """A map argument plus the grading of its JSON document, or None."""
     if text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as handle:
@@ -72,12 +72,11 @@ def _load_map(text):
             raise ParseError(f"{text[1:]} is not UTF-8 text: {exc}") from None
     stripped = text.strip()
     if stripped.startswith("{"):
-        doc = MapDocument.from_json(stripped)
-        return doc.to_map(), doc
+        return parse_document(stripped)
     return parse_map(stripped), None
 
 
-def _weights_for(args, doc, default=(0, 0, 0)):
+def _weights_for(args, grading, default=(0, 0, 0)):
     """Exact weights: --grading wins; the document grading is the fallback,
     and ``default`` applies when neither gives any.
 
@@ -85,17 +84,17 @@ def _weights_for(args, doc, default=(0, 0, 0)):
     """
     if args.grading:
         return parse_weights(args.grading)
-    if doc is None or doc.weights is None:
+    if grading is None:
         return default
-    if doc.modulus is not None:
+    if grading.modulus is not None:
         raise ParseError(
             f"this command needs exact weights, but the document grading "
-            f"has modulus {doc.modulus}"
+            f"has modulus {grading.modulus}"
         )
-    return doc.weights
+    return grading.weights
 
 
-def _plane_grading(args, doc):
+def _plane_grading(args, grading):
     """The grading of a plane decompose, or None for none.
 
     Two --grading weights give an exact plane grading; three weights
@@ -104,7 +103,7 @@ def _plane_grading(args, doc):
     document grading applies, modulus included.
     """
     if not args.grading:
-        return None if doc is None else doc.grading()
+        return grading
     weights = parse_weights(args.grading)
     if len(weights) == 2:
         return Grading(weights)
@@ -178,7 +177,7 @@ def _certificate_rows(cert):
 # commands
 
 def _cmd_verify(args):
-    m, doc = _load_map(args.map)
+    m, grading = _load_map(args.map)
     if args.inverse is not None:
         ok = verify_inverse_pair(m, _load_map(args.inverse)[0])
         return _emit(args, [(f"inverse pair: {_bool(ok)}", {"inverse_pair": ok})],
@@ -188,7 +187,7 @@ def _cmd_verify(args):
         return _emit(args, [(f"automorphism: {_bool(ok)}", {"automorphism": ok})],
                      0 if ok else 1)
     try:
-        result = decompose_graded(m, _weights_for(args, doc))
+        result = decompose_graded(m, _weights_for(args, grading))
     except NotAnAutomorphism as exc:
         return _emit(args, [(
             f"automorphism: false ({exc})", {"automorphism": False, "reason": str(exc)}
@@ -209,18 +208,18 @@ def _cmd_compose(args):
 
 
 def _cmd_invert(args):
-    m, doc = _load_map(args.map)
+    m, grading = _load_map(args.map)
     if m.arity == 2:
         return _emit(args, _map_rows(invert_plane(m)))
-    return _emit(args, _map_rows(invert_graded(m, _weights_for(args, doc))))
+    return _emit(args, _map_rows(invert_graded(m, _weights_for(args, grading))))
 
 
 def _cmd_decompose(args):
-    m, doc = _load_map(args.map)
+    m, grading = _load_map(args.map)
     steps = [] if args.trace_svg else None
     trace = None if steps is None else (lambda cur, area: steps.append((cur, area)))
     if m.arity == 2:
-        grading = _plane_grading(args, doc)
+        grading = _plane_grading(args, grading)
         if grading is None:
             chain = decompose_plane(m, trace=trace)
         else:
@@ -228,7 +227,7 @@ def _cmd_decompose(args):
     else:
         if args.trace_svg:
             raise WrongShape("--trace-svg needs a two-variable map")
-        chain = decompose_graded(m, _weights_for(args, doc))
+        chain = decompose_graded(m, _weights_for(args, grading))
         if isinstance(chain, WildnessCertificate):
             return _emit(args, _certificate_rows(chain), 4)
     if args.trace_svg:
@@ -290,13 +289,13 @@ def _cmd_witness(args):
 
 
 def _cmd_lift(args):
-    m, doc = _load_map(args.map)
+    m, grading = _load_map(args.map)
     if not args.grading:
         # a plane document holds two weights, never lift's (a, b, -c)
-        mod = "" if doc is None or doc.modulus is None else f" with modulus {doc.modulus}"
-        held = "" if doc is None or doc.weights is None else (
-            f"; the document's plane grading{mod} is not read"
-        )
+        held = ""
+        if grading is not None:
+            mod = "" if grading.modulus is None else f" with modulus {grading.modulus}"
+            held = f"; the document's plane grading{mod} is not read"
         raise ParseError(f"lift needs --grading a,b,-c{held}")
     report = lift_plane_map(m, parse_weights(args.grading))
     if report.liftable:
@@ -318,8 +317,8 @@ def _cmd_restrict(args):
 
 
 def _cmd_certify_wild(args):
-    m, doc = _load_map(args.map)
-    weights = _weights_for(args, doc, None)
+    m, grading = _load_map(args.map)
+    weights = _weights_for(args, grading, None)
     if weights is None:
         raise ParseError("certify-wild needs --grading a,b,c")
     cert = wildness_certificate(m, weights)

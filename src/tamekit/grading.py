@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import ArityMismatch, GcdPrecondition
+from .errors import ArityMismatch, GcdPrecondition, WrongShape
 from .maps import PolynomialMap
 
 
@@ -91,7 +91,7 @@ class ResidueGrading(Grading):
     __slots__ = ("modulus",)
 
     def __init__(self, weights, modulus):
-        if not isinstance(modulus, int) or modulus < 1:
+        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
             raise ArityMismatch(f"modulus must be a positive int, got {modulus!r}")
         self.modulus = modulus
         self.weights = tuple(w % modulus for w in _check_weights(weights))
@@ -179,9 +179,11 @@ def normalize_weights(weights):
 def q_hat(a, b, c):
     """Largest q with b*q < a and b*q ≡ a (mod c); may be non-positive.
 
-    Needs gcd(b, c) == 1 so the congruence has solutions in every
-    residue class.
+    Needs c >= 1, and gcd(b, c) == 1 so the congruence has solutions in
+    every residue class.
     """
+    if c < 1:
+        raise WrongShape(f"q_hat needs a positive modulus c, got {c}")
     if gcd(b, c) != 1:
         raise GcdPrecondition(f"gcd({b}, {c}) must be 1")
     q0 = (a * pow(b, -1, c)) % c
@@ -192,9 +194,12 @@ def q_hat(a, b, c):
 def l_hat(a, b, c):
     """Smallest l >= 1 with a*l ≡ b (mod c).
 
-    Needs gcd(a, c) == 1.  Always 1 <= l_hat <= c, with equality to c
-    exactly when the residue solution is 0 (so in particular at c = 1).
+    Needs c >= 1 and gcd(a, c) == 1.  Always 1 <= l_hat <= c, with
+    equality to c exactly when the residue solution is 0 (so in
+    particular at c = 1).
     """
+    if c < 1:
+        raise WrongShape(f"l_hat needs a positive modulus c, got {c}")
     if gcd(a, c) != 1:
         raise GcdPrecondition(f"gcd({a}, {c}) must be 1")
     l0 = (b * pow(a, -1, c)) % c

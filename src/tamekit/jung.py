@@ -20,9 +20,9 @@ decompose_plane puts the constant-Jacobian precheck in front, which
 rejects most non-automorphisms before any shear is applied.  The
 descent itself, _descend, does not repeat it, so callers in space.py
 that have already tested a Jacobian do not pay for a second one.  The
-origin-preserving and graded variants check their input and run the
-same descent; their extra factor properties then hold automatically,
-for the reasons given in their docstrings.
+graded variant checks its input and runs the same descent; its
+factors are then graded, for the reasons given in its docstring.  A
+map that fixes the origin gets factors that fix it too (see _descend).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     InvariantViolation,
     NotAnAutomorphism,
     NotGradedPlane,
-    OriginNotPreserved,
 )
 from .maps import (
     FactorChain,
@@ -99,6 +98,10 @@ def _descend(m, trace):
     endpoint only and so misses the other vertex: its area, a
     non-negative half-integer, is strictly smaller.  A failed shrink
     test is therefore a bug (InvariantViolation), never a verdict.
+    The shears have no constant term, so when m fixes the origin, every
+    map the descent reaches does too; the base shift is then f(0) = 0
+    and the elementary base addend g - mu*y has g(0) = 0 as its
+    constant, so every factor fixes the origin.
     Each step precomposes the current map with the shear, one
     Polynomial._sheared call per coordinate; only the shear's inverse,
     a factor, is built as a map.
@@ -152,19 +155,6 @@ def decompose_plane(m, trace=None):
     _require_constant_jacobian(m)
     factors, notes = _descend(m, trace)
     return FactorChain._derived(m, factors, notes)
-
-
-def decompose_plane_origin(m):
-    """decompose_plane for origin-preserving maps; every factor is too.
-
-    The shears have no constant term, so every map the descent reaches
-    still fixes the origin; the base shift is then f(0) = 0 and the
-    elementary base addend g - mu*y has g(0) = 0 as its constant.
-    """
-    _check_plane(m)
-    if not m.is_origin_preserving():
-        raise OriginNotPreserved(f"{m} moves the origin")
-    return decompose_plane(m)
 
 
 def decompose_plane_graded(m, grading, trace=None):

@@ -25,7 +25,7 @@ from .errors import (
     WrongShape,
     ZeroPolynomial,
 )
-from .poly import Polynomial, _coerce, _div, _scalar
+from .poly import Polynomial, _coerce, _div, _repr_names, _scalar
 
 
 class PolynomialMap:
@@ -86,7 +86,7 @@ class PolynomialMap:
         return self.render()
 
     def __repr__(self):
-        return f"PolynomialMap{self.render()}"
+        return f"PolynomialMap{self.render(_repr_names(self.arity))}"
 
 
 # ---------------------------------------------------------------------------
@@ -476,5 +476,6 @@ class FactorChain:
         return compose_chain(inverses)
 
     def __repr__(self):
-        inner = ", ".join(f.render() for f in self.factors)
-        return f"FactorChain(target={self.target.render()}, factors=[{inner}])"
+        names = _repr_names(self.target.arity)
+        inner = ", ".join(f.render(names) for f in self.factors)
+        return f"FactorChain(target={self.target.render(names)}, factors=[{inner}])"

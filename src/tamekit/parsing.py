@@ -5,7 +5,7 @@ rational coefficients, explicit ``*`` between factors, ``^`` (or ``**``)
 for powers, and parentheses.  Two-variable text uses either x, y or
 u, v; three-variable text always uses x, y, z.  The JSON document form
 carries explicit variable names next to the coordinate strings, plus an
-optional grading, so files round-trip exactly.
+optional grading, and parses to the map and its Grading.
 
 Every text, inline or a document coordinate, becomes a polynomial
 through one ``_ExprParser`` over the text's tokens and its variable
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .grading import Grading, ResidueGrading
 from .maps import PolynomialMap
-from .poly import DEFAULT_NAMES, Polynomial
+from .poly import Polynomial
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[+\-*/^(),])")
 _NAME_OK = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -320,109 +320,71 @@ def _require(condition, message):
         raise ParseError(message)
 
 
-@dataclass(frozen=True)
-class MapDocument:
-    """A map plus its variable names and an optional grading.
+def parse_document(text):
+    """Parse a JSON map document into (map, grading).
 
-    Mirrors the JSON shape::
+    The document names its variables next to its coordinate strings::
 
         {"vars": ["x", "y", "z"],
          "coords": ["y^2*z + x", "y", "z"],
          "grading": {"weights": [1, 1, -1]}}
 
-    A residue grading adds "modulus" next to "weights".
+    A residue grading adds "modulus" next to "weights".  The grading is
+    a ResidueGrading, a Grading, or None when the document has none.
+    Every key is checked before any coordinate is parsed.
     """
-
-    vars: tuple
-    coords: tuple
-    weights: tuple = None
-    modulus: int = None
-
-    @classmethod
-    def from_json(cls, text):
-        # JSONDecodeError and over-long integers are ValueErrors; arrays
-        # nested past the interpreter's recursion limit raise RecursionError
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
-        _require(isinstance(data, dict), "a map document is a JSON object")
-        extra = set(data) - {"vars", "coords", "grading"}
-        _require(not extra, f"unexpected keys {sorted(extra)}")
-        names = data.get("vars")
+    # JSONDecodeError and over-long integers are ValueErrors; arrays
+    # nested past the interpreter's recursion limit raise RecursionError
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+    _require(isinstance(data, dict), "a map document is a JSON object")
+    extra = set(data) - {"vars", "coords", "grading"}
+    _require(not extra, f"unexpected keys {sorted(extra)}")
+    names = data.get("vars")
+    _require(
+        isinstance(names, list) and names and
+        all(isinstance(n, str) and _NAME_OK.match(n) for n in names),
+        '"vars" must be a list of variable names',
+    )
+    _require(len(set(names)) == len(names), "variable names must be distinct")
+    coords = data.get("coords")
+    _require(
+        isinstance(coords, list)
+        and all(isinstance(c, str) for c in coords),
+        '"coords" must be a list of polynomial strings',
+    )
+    _require(
+        len(coords) == len(names),
+        f"{len(names)} variables but {len(coords)} coordinates",
+    )
+    grading = data.get("grading")
+    weights = modulus = None
+    if grading is not None:
+        _require(isinstance(grading, dict), '"grading" must be an object')
+        extra = set(grading) - {"weights", "modulus"}
+        _require(not extra, f"unexpected grading keys {sorted(extra)}")
+        weights = grading.get("weights")
         _require(
-            isinstance(names, list) and names and
-            all(isinstance(n, str) and _NAME_OK.match(n) for n in names),
-            '"vars" must be a list of variable names',
-        )
-        _require(len(set(names)) == len(names), "variable names must be distinct")
-        coords = data.get("coords")
-        _require(
-            isinstance(coords, list)
-            and all(isinstance(c, str) for c in coords),
-            '"coords" must be a list of polynomial strings',
+            isinstance(weights, list)
+            and all(type(w) is int for w in weights),
+            '"weights" must be a list of integers',
         )
         _require(
-            len(coords) == len(names),
-            f"{len(names)} variables but {len(coords)} coordinates",
+            len(weights) == len(names),
+            f"{len(names)} variables but {len(weights)} weights",
         )
-        weights = modulus = None
-        if data.get("grading") is not None:
-            grading = data["grading"]
-            _require(isinstance(grading, dict), '"grading" must be an object')
-            extra = set(grading) - {"weights", "modulus"}
-            _require(not extra, f"unexpected grading keys {sorted(extra)}")
-            raw = grading.get("weights")
-            _require(
-                isinstance(raw, list)
-                and all(type(w) is int for w in raw),
-                '"weights" must be a list of integers',
-            )
-            _require(
-                len(raw) == len(names),
-                f"{len(names)} variables but {len(raw)} weights",
-            )
-            weights = tuple(raw)
-            if grading.get("modulus") is not None:
-                _require(
-                    type(grading["modulus"]) is int and grading["modulus"] >= 1,
-                    '"modulus" must be a positive integer',
-                )
-                modulus = grading["modulus"]
-        return cls(tuple(names), tuple(coords), weights, modulus)
-
-    def to_json(self):
-        data = {"vars": list(self.vars), "coords": list(self.coords)}
-        if self.weights is not None:
-            data["grading"] = {"weights": list(self.weights)}
-            if self.modulus is not None:
-                data["grading"]["modulus"] = self.modulus
-        return json.dumps(data, indent=2) + "\n"
-
-    @classmethod
-    def from_map(cls, m, grading=None, names=None):
-        """The document of m; grading is a Grading (residue or exact) or None."""
-        if names is None:
-            names = DEFAULT_NAMES.get(m.arity)
-            _require(names is not None, f"pass names= for arity {m.arity}")
-        weights = modulus = None
-        if grading is not None:
-            weights, modulus = grading.weights, grading.modulus
-        return cls(
-            tuple(names),
-            tuple(c.render(names) for c in m.coords),
-            weights,
-            modulus,
+        modulus = grading.get("modulus")
+        _require(
+            modulus is None or type(modulus) is int and modulus >= 1,
+            '"modulus" must be a positive integer',
         )
-
-    def to_map(self):
-        return PolynomialMap(
-            [_ExprParser(_tokenize(text), self.vars).parse() for text in self.coords]
-        )
-
-    def grading(self):
-        if self.weights is None:
-            return None
-        if self.modulus is not None:
-            return ResidueGrading(self.weights, self.modulus)
-        return Grading(self.weights)
+    m = PolynomialMap(
+        [_ExprParser(_tokenize(c), names).parse() for c in coords]
+    )
+    if weights is None:
+        return m, None
+    if modulus is None:
+        return m, Grading(weights)
+    return m, ResidueGrading(weights, modulus)

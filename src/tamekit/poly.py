@@ -23,6 +23,12 @@ from .errors import ArityMismatch, ConstantPolynomial, ZeroPolynomial
 DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
+def _repr_names(arity):
+    """DEFAULT_NAMES, or x0, x1, ... for an arity it has none for; repr
+    uses them, so printing a value never raises."""
+    return DEFAULT_NAMES.get(arity) or tuple(f"x{i}" for i in range(arity))
+
+
 def _coerce(value):
     # boundary coefficients are exactly int or exactly Fraction, and a
     # denominator-1 Fraction collapses to int, so each value has one form
@@ -622,7 +628,7 @@ class Polynomial:
         return self.render()
 
     def __repr__(self):
-        return f"Polynomial({self.arity}, {self.render()!r})"
+        return f"Polynomial({self.arity}, {self.render(_repr_names(self.arity))!r})"
 
 
 def _shear_of(images):

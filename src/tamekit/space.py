@@ -979,7 +979,7 @@ def _mixed_pipeline(cls, mm):
     so a monomial x^i y^j z^k of weight a or b has i + j >= 1, and
     setting z = 1 leaves no constant term.  The descent factors are then
     graded (decompose_plane_graded) and fix the origin
-    (decompose_plane_origin), so _rewrite_walk takes them unchecked.  The
+    (jung._descend), so _rewrite_walk takes them unchecked.  The
     later exact checks still cover a fault: lift_plane_map's
     NotGradedPlane check and the per-factor gradedness and
     recomposition checks of the caller's _graded_chain.  Setting z = 1

@@ -9,14 +9,12 @@ from tamekit.errors import (
     ArityMismatch,
     NotAnAutomorphism,
     NotGradedPlane,
-    OriginNotPreserved,
 )
 from tamekit import maps
 from tamekit.grading import Grading, ResidueGrading
 from tamekit.jung import (
     decompose_plane,
     decompose_plane_graded,
-    decompose_plane_origin,
     invert_plane,
     is_plane_automorphism,
 )
@@ -108,11 +106,9 @@ def test_rejects_non_automorphisms():
 
 
 def test_origin_variant():
-    m = PolynomialMap((y**2 - x, y))
-    chain = decompose_plane_origin(m)
+    # the mixed pipeline takes the descent's factors as origin-preserving
+    chain = decompose_plane(PolynomialMap((y**2 - x, y)))
     assert all(f.is_origin_preserving() for f in chain.factors)
-    with pytest.raises(OriginNotPreserved):
-        decompose_plane_origin(PolynomialMap((x + 1, y)))
 
 
 def test_graded_variant_exact_weights():
@@ -235,7 +231,7 @@ def test_graded_descent_factors_are_graded(grading, data):
 def test_origin_descent_factors_preserve_origin(pieces):
     moved = compose_chain(pieces)
     m = PolynomialMap(c - c.constant_term() for c in moved.coords)
-    chain = decompose_plane_origin(m)
+    chain = decompose_plane(m)
     assert all(f.is_origin_preserving() for f in chain.factors)
 
 

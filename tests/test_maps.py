@@ -31,6 +31,7 @@ from tamekit.maps import (
     verify_inverse_pair,
 )
 from tamekit.poly import Polynomial
+from tamekit.space import decompose_positive
 
 x, y = Polynomial.variables(2)
 X, Y, Z = Polynomial.variables(3)
@@ -153,6 +154,18 @@ def test_factor_chain_repr_renders_target_and_factors():
     target = PolynomialMap((2 * x + y**2, y))
     chain = FactorChain(target, (PolynomialMap((2 * x, y)), PolynomialMap((x + Fraction(1, 2) * y**2, y))))
     assert repr(chain) == "FactorChain(target=(y^2 + 2*x, y), factors=[(2*x, y), (1/2*y^2 + x, y)])"
+
+
+def test_repr_names_variables_past_three_by_index():
+    # render() without names still refuses arity 4; repr never raises
+    a, b, c, d = Polynomial.variables(4)
+    assert repr(a) == "Polynomial(4, 'x0')"
+    assert repr(PolynomialMap((a, b, c, d))) == "PolynomialMap(x0, x1, x2, x3)"
+    chain = decompose_positive(PolynomialMap((a + b * c, b, c + d, d)), (2, 1, 1, 1))
+    assert repr(chain) == (
+        "FactorChain(target=(x1*x2 + x0, x1, x2 + x3, x3), "
+        "factors=[(x0, x1, x2 + x3, x3), (x1*x2 + x0, x1, x2, x3)])"
+    )
 
 
 def test_derived_chain_drops_identity_factors_with_their_notes():

@@ -1,5 +1,6 @@
 """Inline text and JSON document parsing."""
 
+import json
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,7 @@ from tamekit.errors import ParseError
 from tamekit.grading import Grading, ResidueGrading
 from tamekit.maps import PolynomialMap
 from tamekit.parsing import (
-    MapDocument,
+    parse_document,
     parse_map,
     parse_polynomial,
     parse_weights,
@@ -205,32 +206,60 @@ def test_map_render_parse_round_trip(p0, p1, p2):
     assert parse_map(m.render()) == m
 
 
-def test_document_round_trip():
-    m = PolynomialMap((y**2 * z + x, y, z))
-    doc = MapDocument.from_map(m, grading=Grading((1, 1, -1)))
-    assert doc.vars == ("x", "y", "z")
-    assert doc.coords == ("y^2*z + x", "y", "z")
-    assert doc.weights == (1, 1, -1) and doc.modulus is None
-    assert doc.to_map() == m
-    assert doc.grading().weights == (1, 1, -1)
-    assert MapDocument.from_json(doc.to_json()) == doc
+_DOCUMENT_NAMES = {
+    2: [("x", "y"), ("u", "v"), ("s", "t")],
+    3: [("x", "y", "z"), ("s", "t", "r")],
+}
+
+
+@st.composite
+def _documents(draw):
+    """A JSON document built with json.dumps, and the map and grading it holds."""
+    arity = draw(st.sampled_from((2, 3)))
+    names = draw(st.sampled_from(_DOCUMENT_NAMES[arity]))
+    m = PolynomialMap([draw(_polys(arity)) for _ in range(arity)])
+    data = {"vars": list(names), "coords": [c.render(names) for c in m.coords]}
+    kind = draw(st.sampled_from(("none", "exact", "residue")))
+    grading = None
+    if kind != "none":
+        weights = draw(st.lists(st.integers(-9, 9), min_size=arity, max_size=arity))
+        data["grading"] = {"weights": weights}
+        grading = Grading(weights)
+        if kind == "residue":
+            modulus = draw(st.integers(1, 7))
+            data["grading"]["modulus"] = modulus
+            grading = ResidueGrading(weights, modulus)
+    return json.dumps(data), m, grading
+
+
+@settings(max_examples=60, deadline=None)
+@given(_documents())
+def test_document_round_trip(case):
+    text, m, grading = case
+    parsed, back = parse_document(text)
+    assert parsed == m
+    assert back == grading and type(back) is type(grading)
 
 
 def test_document_residue_grading():
-    doc = MapDocument.from_map(
-        PolynomialMap((u + v**5, v)), grading=ResidueGrading((7, 2), 3)
+    m, grading = parse_document(
+        '{"vars": ["u", "v"], "coords": ["u + v^5", "v"], '
+        '"grading": {"weights": [7, 2], "modulus": 3}}'
     )
-    assert doc.modulus == 3
-    back = doc.grading()
-    assert isinstance(back, ResidueGrading)
-    assert back.modulus == 3
-    assert MapDocument.from_json(doc.to_json()) == doc
+    assert m == PolynomialMap((u + v**5, v))
+    assert isinstance(grading, ResidueGrading)
+    assert grading == ResidueGrading((7, 2), 3) and grading.modulus == 3
 
 
 def test_document_without_grading():
-    doc = MapDocument.from_map(identity2())
-    assert doc.weights is None and doc.grading() is None
-    assert MapDocument.from_json(doc.to_json()) == doc
+    # an absent or null grading is none; a null modulus is an exact grading
+    coords = '"vars": ["x", "y"], "coords": ["x", "y"]'
+    assert parse_document("{" + coords + "}") == (identity2(), None)
+    assert parse_document("{" + coords + ', "grading": null}') == (identity2(), None)
+    _, grading = parse_document(
+        "{" + coords + ', "grading": {"weights": [1, 2], "modulus": null}}'
+    )
+    assert grading == Grading((1, 2)) and type(grading) is Grading
 
 
 def identity2():
@@ -238,18 +267,15 @@ def identity2():
 
 
 def test_document_custom_names():
-    doc = MapDocument(("s", "t"), ("s + t^2", "t"))
-    m = doc.to_map()
-    assert m == PolynomialMap((u + v**2, v))
+    m, grading = parse_document('{"vars": ["s", "t"], "coords": ["s + t^2", "t"]}')
+    assert m == PolynomialMap((u + v**2, v)) and grading is None
     # rendering canonicalizes term order (graded-lex descending)
-    assert MapDocument.from_map(m, names=("s", "t")) == MapDocument(
-        ("s", "t"), ("t^2 + s", "t")
-    )
+    assert [c.render(("s", "t")) for c in m.coords] == ["t^2 + s", "t"]
 
 
 def test_document_json_validation():
     good = '{"vars": ["x", "y"], "coords": ["x", "y"]}'
-    assert MapDocument.from_json(good).to_map() == identity2()
+    assert parse_document(good)[0] == identity2()
     bad = [
         "[]",
         "{",
@@ -268,10 +294,18 @@ def test_document_json_validation():
     ]
     for text in bad:
         with pytest.raises(ParseError):
-            MapDocument.from_json(text)
+            parse_document(text)
 
 
 def test_document_unknown_variable_in_coordinate():
-    doc = MapDocument(("x", "y"), ("x + q", "y"))
     with pytest.raises(ParseError):
-        doc.to_map()
+        parse_document('{"vars": ["x", "y"], "coords": ["x + q", "y"]}')
+
+
+def test_document_grading_is_checked_before_the_coordinates():
+    text = (
+        '{"vars": ["x", "y"], "coords": ["x + q", "y"], '
+        '"grading": {"weights": [1]}}'
+    )
+    with pytest.raises(ParseError, match="2 variables but 1 weights"):
+        parse_document(text)

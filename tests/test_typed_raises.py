@@ -12,7 +12,6 @@ import pytest
 from tamekit import (
     ArityMismatch,
     FactorChain,
-    MapDocument,
     ParseError,
     Polynomial,
     PolynomialMap,
@@ -22,7 +21,10 @@ from tamekit import (
     decompose_plane,
     decompose_positive,
     identity_map,
+    l_hat,
+    parse_document,
     parse_polynomial,
+    q_hat,
     split_z_scaling,
     verify_inverse_pair,
 )
@@ -56,6 +58,9 @@ CASES = [
     # gradings and the plane descent
     ("no weights", lambda: _check_weights(()), ArityMismatch),
     ("zero modulus", lambda: ResidueGrading((1, 2), 0), ArityMismatch),
+    ("bool modulus", lambda: ResidueGrading((3, 5), True), ArityMismatch),
+    ("q_hat of zero modulus", lambda: q_hat(1, 1, 0), WrongShape),
+    ("l_hat of negative modulus", lambda: l_hat(1, 1, -1), WrongShape),
     ("plane descent on arity 3", lambda: decompose_plane(identity_map(3)), ArityMismatch),
     # its Jacobian determinant 2x is not constant, but the arity check runs first
     (
@@ -85,7 +90,7 @@ CASES = [
     ("division by a non-literal", lambda: parse_polynomial("1/x"), ParseError),
     (
         "empty document coordinate",
-        lambda: MapDocument.from_json('{"vars": ["x", "y"], "coords": ["", "y"]}').to_map(),
+        lambda: parse_document('{"vars": ["x", "y"], "coords": ["", "y"]}'),
         ParseError,
     ),
 ]
