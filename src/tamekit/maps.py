@@ -83,7 +83,7 @@ class PolynomialMap:
         return "(" + ", ".join(c.render(names) for c in self.coords) + ")"
 
     def __str__(self):
-        return self.render()
+        return self.render(_repr_names(self.arity))
 
     def __repr__(self):
         return f"PolynomialMap{self.render(_repr_names(self.arity))}"

@@ -24,8 +24,8 @@ DEFAULT_NAMES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
 def _repr_names(arity):
-    """DEFAULT_NAMES, or x0, x1, ... for an arity it has none for; repr
-    uses them, so printing a value never raises."""
+    """DEFAULT_NAMES, or x0, x1, ... for an arity it has none for; str
+    and repr use them, so printing a value never raises."""
     return DEFAULT_NAMES.get(arity) or tuple(f"x{i}" for i in range(arity))
 
 
@@ -77,27 +77,30 @@ class _Terms(Mapping):
         return len(self._num)
 
 
-# plane products with at least this many term pairs go by x-degree rows.
-# Against the pair loop, over every fx*gy and fy*gx product of the two
-# plane benchmark workloads (seed 1, median per band of term pairs,
-# CPython 3.11 on a 2-vCPU x86 host), rows took 3.1-3.6x its time below
-# 16 pairs, 2.0-2.4x at 16-255, 1.1x at 256-511, 0.87x at 512-1023,
-# 0.78x at 1024-2047, 0.72x at 2048-4095 and 0.67x at 4096-8191: the
-# crossover is near 512.
+# plane products with at least this many term pairs go by x-degree rows
+# into list columns, when their box fits (see _convolve).  Time against
+# the pair loop, dict columns / list columns, summed per band of term
+# pairs over the 716 products of at least 256 pairs that Polynomial.__mul__
+# makes in one pass of each plane benchmark workload (seed 1, CPython 3.11
+# on a 2-vCPU x86 host): 1.05 / 1.07 at 256-383 pairs, 0.94 / 0.91 at
+# 384-511, 0.86 / 0.79 at 512-767, 0.83 / 0.75 at 768-1023, 0.74 / 0.63
+# at 1024-2047, 0.70 / 0.55 at 2048-4095 and 0.64 / 0.49 at 4096-8191.
+# Below 512 the lists gain too little to rely on: at 384-511 pairs
+# substitute's products took 0.98, and the __mul__ ones 1.06 at 384-447.
 _ROWS_MIN_PAIRS = 512
 
 
-def _rows(terms):
-    # x-exponent -> [(y-exponent, coefficient), ...] of a plane term dict
+def _rows(terms, low):
+    # x-exponent -> [(y-exponent - low, coefficient), ...] of a plane term dict
     rows = {}
     for (i, j), c in terms.items():
-        rows.setdefault(i, []).append((j, c))
+        rows.setdefault(i, []).append((j - low, c))
     return rows
 
 
 def _convolve(arity, t1, t2, acc):
     """Add the product of the int-coefficient term dicts ``t1`` and
-    ``t2`` into ``acc``.  Sums that cancel stay in ``acc`` as zeros.
+    ``t2`` into ``acc``.  Sums that cancel may stay in ``acc`` as zeros.
 
     The product loop of ``__mul__``, ``__pow__`` and ``substitute``,
     except powers of short bases (``_short_power``) and plane shears
@@ -106,32 +109,42 @@ def _convolve(arity, t1, t2, acc):
 
     A plane product of at least ``_ROWS_MIN_PAIRS`` term pairs groups
     each factor into rows by x-exponent and adds each pair of rows into
-    an int-keyed column for x-degree i1 + i2, so a term pair costs one
-    addition and one dict update, with no (i, j) tuple built or hashed;
-    the columns go into ``acc`` at the end.  Columns are dicts, so a
-    sparse factor with huge exponents costs only its terms.  Smaller
-    products keep the pair loop, as grouping costs more than it saves.
+    a list of ints for x-degree i1 + i2, indexed by the y-exponent above
+    the lowest one, so a term pair costs one list add with no (i, j)
+    tuple built or hashed; the nonzero sums go into ``acc`` at the end.
+    Each list spans the product's y-range, so the lists take at most its
+    box: output x-degrees times y-span.  When that box is larger than
+    the term pairs (a sparse factor with huge exponents), the product
+    keeps the pair loop, which costs only its terms; so do smaller
+    products, as grouping costs more than it saves.
     """
     if len(t1) > len(t2):
         # the smaller factor outside means fewer inner loops to set up
         t1, t2 = t2, t1
     get = acc.get
     if arity == 2 and len(t1) * len(t2) >= _ROWS_MIN_PAIRS:
-        cols = {}
-        rows2 = _rows(t2).items()
-        for i1, row1 in _rows(t1).items():
-            for i2, row2 in rows2:
-                col = cols.setdefault(i1 + i2, {})
-                cget = col.get
-                for j1, c1 in row1:
-                    for j2, c2 in row2:
-                        j = j1 + j2
-                        col[j] = cget(j, 0) + c1 * c2
-        for i, col in cols.items():
-            for j, c in col.items():
-                key = (i, j)
-                acc[key] = get(key, 0) + c
-    elif arity == 2:
+        xs1, ys1 = zip(*t1)
+        xs2, ys2 = zip(*t2)
+        low1, low2 = min(ys1), min(ys2)
+        span = max(ys1) + max(ys2) - low1 - low2 + 1
+        if (max(xs1) + max(xs2) - min(xs1) - min(xs2) + 1) * span <= len(t1) * len(t2):
+            cols = {}
+            rows2 = _rows(t2, low2).items()
+            for i1, row1 in _rows(t1, low1).items():
+                for i2, row2 in rows2:
+                    col = cols.get(i1 + i2)
+                    if col is None:
+                        col = cols[i1 + i2] = [0] * span
+                    for j1, c1 in row1:
+                        for j2, c2 in row2:
+                            col[j1 + j2] += c1 * c2
+            for i, col in cols.items():
+                for j, c in enumerate(col, low1 + low2):
+                    if c:
+                        key = (i, j)
+                        acc[key] = get(key, 0) + c
+            return acc
+    if arity == 2:
         for (i1, j1), c1 in t1.items():
             for (i2, j2), c2 in t2.items():
                 key = (i1 + i2, j1 + j2)
@@ -625,7 +638,7 @@ class Polynomial:
         return " ".join(pieces)
 
     def __str__(self):
-        return self.render()
+        return self.render(_repr_names(self.arity))
 
     def __repr__(self):
         return f"Polynomial({self.arity}, {self.render(_repr_names(self.arity))!r})"

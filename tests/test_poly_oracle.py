@@ -10,6 +10,7 @@ be in normal form: integer numerators, none zero, over a positive
 denominator that shares no factor with all of them.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -115,60 +116,120 @@ def test_product_matches_sympy(pair):
     assert_matches(a * b, to_sympy(a, names) * to_sympy(b, names), names)
 
 
-def dense_plane(n, shift=0):
-    # n plane terms (n <= 256) on distinct exponents up to 15, with
+def dense_plane(n, shift=0, side=16):
+    # n plane terms (n <= side^2) on distinct exponents below side, with
     # fractional coefficients of both signs
     return Polynomial(2, {
-        (k % 16, (k // 16 + 3 * k + shift) % 16): Fraction((-1) ** k * (k + shift + 1), k % 5 + 2)
+        (k % side, (k // side + 3 * k + shift) % side): Fraction((-1) ** k * (k + shift + 1), k % 5 + 2)
         for k in range(n)
     })
 
 
+def sympy_qq(c):
+    c = Fraction(c)
+    return sympy.QQ(c.numerator, c.denominator)
+
+
 def sympy_poly(p):
-    coeffs = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
-    return sympy.Poly.from_dict(coeffs, *TARGET[: p.arity], domain="QQ")
+    # a plane polynomial in sympy's sparse ring: its dense Poly would
+    # expand y^1000000 into a million slots
+    plane = sympy.polys.rings.ring(TARGET[:2], sympy.QQ)[0]
+    return plane.from_dict({e: sympy_qq(c) for e, c in p.terms.items()})
 
 
-def rows_branch_runs(a, b):
-    # whether a * b goes through _convolve's x-degree rows
+def assert_sympy_terms(got, expected):
+    assert_canonical(got)
+    assert got.terms == {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in expected.items()}
+
+
+def rows_branch_runs(call):
+    # call() and whether it went through _convolve's x-degree rows into
+    # list columns
     with mock.patch.object(poly, "_rows", wraps=poly._rows) as rows:
-        product = a * b
-    return product, rows.called
+        result = call()
+    return result, rows.called
 
 
-# 25-40 nonzero terms a side: every drawn product is past the threshold
+def takes_rows(a, b):
+    # _convolve's test: enough term pairs, and a box of output x-degrees
+    # times y-span no larger than the pairs
+    (xs1, ys1), (xs2, ys2) = zip(*a.terms), zip(*b.terms)
+    box = (max(xs1) + max(xs2) - min(xs1) - min(xs2) + 1) * (max(ys1) + max(ys2) - min(ys1) - min(ys2) + 1)
+    pairs = len(a.terms) * len(b.terms)
+    return pairs >= poly._ROWS_MIN_PAIRS and box <= pairs
+
+
+# 25-40 nonzero terms a side below x^16 and y^16: every drawn product is
+# past the threshold, and its box of up to 31 x 31 falls on either side
+# of its 625-1600 term pairs
 dense_planes = st.dictionaries(
     st.tuples(st.integers(0, 15), st.integers(0, 15)),
     coeffs.filter(bool),
     min_size=25,
     max_size=40,
 ).map(lambda d: Polynomial(2, d))
-DENSE_P, DENSE_Q = dense_plane(32), dense_plane(27, 5)
+DENSE_P, DENSE_Q = dense_plane(32, side=8), dense_plane(27, 5, side=8)
 
 
 @settings(max_examples=15, deadline=None)
 @given(dense_planes, dense_planes)
 @example(dense_plane(7), dense_plane(73, 5))  # 511 term pairs: the pair loop
-@example(dense_plane(16), dense_plane(32, 5))  # 512 term pairs: the rows
+@example(dense_plane(16, side=8), dense_plane(32, 5, side=8))  # 512 term pairs: the rows
+@example(dense_plane(32), dense_plane(30, 5))  # 960 pairs in a 31 x 31 box: the pair loop
 @example(DENSE_P + DENSE_Q, DENSE_P - DENSE_Q)  # the cross sums cancel
+@example(x * y**3 * DENSE_P, y**5 * DENSE_Q)  # the list columns start at y^8
 def test_dense_plane_product_matches_sympy(a, b):
-    product, by_rows = rows_branch_runs(a, b)
-    assert by_rows == (len(a.terms) * len(b.terms) >= poly._ROWS_MIN_PAIRS)
-    # sympy's own sparse product: expanding expressions this long is slow
-    expected = (sympy_poly(a) * sympy_poly(b)).as_dict()
-    assert_canonical(product)
-    assert product.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expected.items()}
+    product, by_rows = rows_branch_runs(lambda: a * b)
+    assert by_rows == takes_rows(a, b)
+    assert_sympy_terms(product, sympy_poly(a) * sympy_poly(b))
+
+
+def test_dense_plane_product_sides_of_the_threshold():
+    # the examples above each take the branch they name
+    assert not takes_rows(dense_plane(7), dense_plane(73, 5))
+    assert takes_rows(dense_plane(16, side=8), dense_plane(32, 5, side=8))
+    assert not takes_rows(dense_plane(32), dense_plane(30, 5))
+    assert takes_rows(DENSE_P + DENSE_Q, DENSE_P - DENSE_Q)
+    assert takes_rows(x * y**3 * DENSE_P, y**5 * DENSE_Q)
+
+
+def test_dense_product_with_a_huge_exponent_takes_the_pair_loop():
+    # 17 x 32 term pairs, but y^1000000 stretches the box to 15 x 1000008:
+    # list columns would take about 120 MB, the pair loop its terms alone
+    a = dense_plane(16, side=8) + Fraction(-2, 7) * y**1000000
+    b = dense_plane(32, 5, side=8)
+    assert len(a.terms) * len(b.terms) >= 512
+    tracemalloc.start()
+    try:
+        product, by_rows = rows_branch_runs(lambda: a * b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not by_rows
+    assert peak < 2_000_000
+    assert_sympy_terms(product, sympy_poly(a) * sympy_poly(b))
 
 
 def test_dense_rows_whose_sums_all_cancel_leave_zero():
     # x^2*y - x*y^2 at (p, p) is p^3 - p^3: substitute adds both groups'
     # rows products into one accumulator, where every sum cancels
-    p = dense_plane(30)
-    with mock.patch.object(poly, "_rows", wraps=poly._rows) as rows:
-        zero = (x**2 * y - x * y**2).substitute((p, p))
-    assert rows.called
+    p = dense_plane(30, side=8)
+    zero, by_rows = rows_branch_runs(lambda: (x**2 * y - x * y**2).substitute((p, p)))
+    assert by_rows
     assert zero.is_zero()
     assert_canonical(zero)
+
+
+def test_dense_substitute_shares_the_rows_accumulator():
+    # each group's rows product lands in the one accumulator on top of
+    # the terms the group before it left there
+    f = Fraction(1, 2) * x**2 * y - 3 * x * y**2 + Fraction(2, 3) * x * y - y
+    p, q = dense_plane(30, side=8), dense_plane(24, 3, side=8)
+    got, by_rows = rows_branch_runs(lambda: f.substitute((p, q)))
+    assert by_rows
+    sp, sq = sympy_poly(p), sympy_poly(q)
+    expected = sum(sympy_qq(c) * sp**i * sq**j for (i, j), c in f.terms.items())
+    assert_sympy_terms(got, expected)
 
 
 def test_dense_composed_automorphism_has_its_constant_jacobian():

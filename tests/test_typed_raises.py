@@ -12,6 +12,8 @@ import pytest
 from tamekit import (
     ArityMismatch,
     FactorChain,
+    NotAnAutomorphism,
+    NotGraded,
     ParseError,
     Polynomial,
     PolynomialMap,
@@ -21,6 +23,7 @@ from tamekit import (
     decompose_plane,
     decompose_positive,
     identity_map,
+    invert_factor,
     l_hat,
     parse_document,
     parse_polynomial,
@@ -33,6 +36,7 @@ from tamekit.maps import map_from_matrix, matrix_product, perm_map
 
 u, v = Polynomial.variables(2)
 x, y, z = Polynomial.variables(3)
+a, b, c, d = Polynomial.variables(4)
 ZERO = Polynomial.zero(2)
 
 CASES = [
@@ -70,6 +74,18 @@ CASES = [
     ),
     ("positive weight not an int", lambda: decompose_positive(identity_map(3), ("a", 1, 2)), ArityMismatch),
     ("z split weight not an int", lambda: split_z_scaling(identity_map(3), (1, 1, None)), ArityMismatch),
+    # four variables: each message names the map, which must not raise itself
+    (
+        "ungraded map of arity 4",
+        lambda: decompose_positive(PolynomialMap((a + b * b, b, c, d)), (1, 1, 1, 1)),
+        NotGraded,
+    ),
+    (
+        "singular block of arity 4",
+        lambda: decompose_positive(PolynomialMap((a, b, c, 0 * d)), (1, 1, 1, 1)),
+        NotAnAutomorphism,
+    ),
+    ("factor of arity 4 to invert", lambda: invert_factor(PolynomialMap((a * b, b, c, d))), WrongShape),
     # Polynomial validation
     ("arity zero", lambda: Polynomial(0), ArityMismatch),
     ("exponent tuple length", lambda: Polynomial(2, {(1,): 1}), ArityMismatch),
