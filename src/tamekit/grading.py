@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import ArityMismatch, GcdPrecondition, WrongShape
 from .maps import PolynomialMap
@@ -58,12 +58,19 @@ class Grading:
         degree); a nonzero constant coordinate needs weight zero.
         """
         self._check_arity(m)
-        # one pass: each term's weight is computed once
+        # one pass: each term's weight is computed once, inline for the
+        # three variables of every space grading
         w = self.weights
         for want, c in zip(w, m.coords):
-            for e in c._num:
-                if sum(map(mul, w, e)) != want:
-                    return False
+            if len(w) == 3:
+                wx, wy, wz = w
+                for i, j, k in c._num:
+                    if wx * i + wy * j + wz * k != want:
+                        return False
+            else:
+                for e in c._num:
+                    if sum(map(mul, w, e)) != want:
+                        return False
         return True
 
     def _check_arity(self, m):
@@ -98,12 +105,19 @@ class ResidueGrading(Grading):
 
     def is_graded_map(self, m):
         self._check_arity(m)
-        # one pass; the stored weights are already reduced mod the modulus
+        # as Grading's, inline for the two variables of every plane residue
+        # grading; the stored weights are already reduced mod the modulus
         w, mod = self.weights, self.modulus
         for want, c in zip(w, m.coords):
-            for e in c._num:
-                if sum(map(mul, w, e)) % mod != want:
-                    return False
+            if len(w) == 2:
+                wx, wy = w
+                for i, j in c._num:
+                    if (wx * i + wy * j) % mod != want:
+                        return False
+            else:
+                for e in c._num:
+                    if sum(map(mul, w, e)) % mod != want:
+                        return False
         return True
 
     def __repr__(self):
@@ -121,8 +135,7 @@ def _permuted(m, perm):
     if perm == (0, 1, 2):
         # maps are immutable by convention, so the identity conjugate is m
         return m
-    p0, p1, p2 = perm
-    move = lambda e: (e[p0], e[p1], e[p2])
+    move = itemgetter(*perm)
     return PolynomialMap(m.coords[p].map_exponents(3, move) for p in perm)
 
 

@@ -106,9 +106,12 @@ def _descend(m, trace):
     Polynomial._sheared call per coordinate; only the shear's inverse,
     a factor, is built as a map.
 
-    The descent needs no Jacobian test to be sound (FactorChain checks
-    the result); the caller runs the precheck when it has not already
-    made the Jacobian a nonzero constant.  ``trace``, if given, gets the
+    The descent needs no Jacobian test to be sound: reaching the
+    triangular base with mu != 0 and w free of y proves membership by
+    itself, and FactorChain's check of the result guards only against
+    faults of this code.  The caller runs the precheck when it wants a
+    cheap rejection and has not already made the Jacobian a nonzero
+    constant.  ``trace``, if given, gets the
     current map and its newton_area once per step, before the step is
     read.
     """

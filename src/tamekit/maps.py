@@ -25,7 +25,7 @@ from .errors import (
     WrongShape,
     ZeroPolynomial,
 )
-from .poly import Polynomial, _coerce, _div, _repr_names, _scalar
+from .poly import Polynomial, _coerce, _div, _repr_names, _scalar, _units
 
 
 class PolynomialMap:
@@ -226,7 +226,7 @@ def map_from_matrix(rows, constants=None):
     n = len(rows)
     if constants is None:
         constants = (0,) * n
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    units = _units(n)
     coords = []
     for i in range(n):
         if len(rows[i]) != n:
@@ -242,9 +242,10 @@ def _affine_matrix(m):
     rows = [[0] * m.arity for _ in m.coords]
     for row, c in zip(rows, m.coords):
         for e, num in c._num.items():
-            if sum(e) > 1:
+            d = sum(e)
+            if d > 1:
                 return None
-            if sum(e):
+            if d:
                 row[e.index(1)] = _scalar(num, c._den)
     return rows
 

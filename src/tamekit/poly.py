@@ -29,6 +29,12 @@ def _repr_names(arity):
     return DEFAULT_NAMES.get(arity) or tuple(f"x{i}" for i in range(arity))
 
 
+@lru_cache(maxsize=None)
+def _units(arity):
+    """The exponent tuple of each variable, one shared table per arity."""
+    return tuple(tuple(int(k == i) for k in range(arity)) for i in range(arity))
+
+
 def _coerce(value):
     # boundary coefficients are exactly int or exactly Fraction, and a
     # denominator-1 Fraction collapses to int, so each value has one form
@@ -325,7 +331,12 @@ class Polynomial:
     def total_degree(self):
         if not self._num:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(sum(exps) for exps in self._num)
+        # each term's degree inline for two and three variables
+        if self.arity == 2:
+            return max([i + j for i, j in self._num])
+        if self.arity == 3:
+            return max([i + j + k for i, j, k in self._num])
+        return max(map(sum, self._num))
 
     def degree_in(self, index):
         if not self._num:
@@ -343,7 +354,7 @@ class Polynomial:
         read off the numerators; nothing is multiplied or subtracted."""
         if not 0 <= index < self.arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        unit = tuple(1 if k == index else 0 for k in range(self.arity))
+        unit = _units(self.arity)[index]
         if unit not in self._num:
             return 0, self
         num = dict(self._num)
@@ -448,8 +459,8 @@ class Polynomial:
         variables, adding terms that land together (zero sums vanish).
 
         One pass relabels the support; terms are added one by one only if
-        two exponents collided (the restriction to z = 1, the weight lift
-        and the permutations never collide on graded supports).  The new
+        two exponents collided (the restriction to z = 1 and the
+        permutations never collide on graded supports).  The new
         tuples are not validated: callers keep them of length ``arity``
         with no negative entry.
         """

@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import itemgetter
 
 from .errors import (
     ArityMismatch,
@@ -303,7 +304,7 @@ def restrict_to_plane(m):
         raise LastVariableNotFixed(
             f"third coordinate must be z itself, got {m.coords[2]}"
         )
-    return PolynomialMap(c.map_exponents(2, lambda e: e[:2]) for c in m.coords[:2])
+    return PolynomialMap(c.map_exponents(2, itemgetter(0, 1)) for c in m.coords[:2])
 
 
 class ObstructionKind(enum.Enum):
@@ -328,7 +329,10 @@ class LiftReport:
 
 
 def _lift_coord(poly, target, a, b, c):
-    return poly.map_exponents(3, lambda e: (*e, (a * e[0] + b * e[1] - target) // c))
+    # u^i v^j goes to x^i y^j z^t with a*i + b*j - c*t = target; the lift
+    # keeps i and j, so it is injective on exponents and no terms merge
+    lifted = {(i, j, (a * i + b * j - target) // c): n for (i, j), n in poly._num.items()}
+    return Polynomial._raw(3, lifted, poly._den)
 
 
 def lift_plane_map(pm, weights):
@@ -407,7 +411,12 @@ class WildnessCertificate:
 
 
 def wildness_certificate(m, weights):
-    """Run the degree test for graded wildness against a graded map."""
+    """Run the degree test for graded wildness against a graded map.
+
+    The test certifies automorphisms only: it does not check that m is
+    one, and for a graded map that is not, a certificate means nothing.
+    decompose_graded decides membership before it returns a certificate.
+    """
     cls = classify_grading(weights)
     _mixed_abc(cls.normalized.weights, GcdPrecondition)
     _check_graded(m, cls.weights)
@@ -416,14 +425,23 @@ def wildness_certificate(m, weights):
 
 def _degree_test(cls, mm):
     """The degree test on mm, a graded map in the normalized variables of
-    mixed coprime weights."""
+    mixed coprime weights.
+
+    It reads only the first coordinate of the plane restriction of mm's
+    z-fixing part, which is mm's own first coordinate at z = 1.  That is
+    read off mm without relabelling: the weight fixes each term's power
+    of z (see WildWitness.verify), so u is x itself and a term x^i y^j z^k
+    has plane degree i + j.  The drop term reported is the lowest in
+    degree and, of those, the one with the least exponent tuple.
+    """
     qh = cls.q_hat
-    pm = restrict_to_plane(_split_z(mm)[1])
-    lam, drop = pm.coords[0].split_variable(0)
+    _z_scale(mm)
+    lam, drop = mm.coords[0].split_variable(0)
     threshold = qh - cls.normalized.weights[2]
-    low = min(drop._num, key=lambda e: (sum(e), e), default=None)
-    if low is not None and sum(low) < threshold:
-        return WildnessCertificate(True, cls.weights, qh, threshold, lam, low, sum(low))
+    low = min([i + j for i, j, _ in drop._num], default=threshold)
+    if low < threshold:
+        i = min([i for i, j, _ in drop._num if i + j == low])
+        return WildnessCertificate(True, cls.weights, qh, threshold, lam, (i, low - i), low)
     return WildnessCertificate(False, cls.weights, qh, threshold, lam)
 
 
@@ -1049,6 +1067,21 @@ def decompose_graded(m, weights):
     an uncertified one goes through the tame pipeline anyway, and if
     some factor then fails to lift the outcome is genuinely unknown and
     WildAdmittingUndecided is raised.
+
+    The degree test assumes an automorphism, so a certificate is
+    returned only once the plane restriction pm of the z-fixing part m
+    passes the plane descent, which decides membership by itself (see
+    jung; NotAnAutomorphism otherwise; its factors are not recomposed,
+    as no chain is returned).  The constant-Jacobian precheck
+    is left out there: a certified map is most often a witness, where
+    it would only add two products of the map's size to the descent.
+    Membership of pm decides m.  m fixes the origin of the (x, y) plane
+    over K[z] (see _mixed_pipeline), and its Jacobian determinant in x
+    and y is homogeneous of weight 0 and restricts to J(pm), so it is
+    that nonzero constant (setting z = 1 is injective on each weight).
+    The formal inverse of m therefore has coefficients in K[z]; it is
+    graded and restricts to pm^-1, so it is the Laurent lift of pm^-1, a
+    polynomial map: m is an automorphism, and so is the map itself.
     """
     cls = classify_grading(weights)
     reason = cls.reason
@@ -1067,6 +1100,7 @@ def decompose_graded(m, weights):
     elif reason is GradingReason.Q_HAT_AT_LEAST_TWO:
         cert = _degree_test(cls, mm)
         if cert.certified:
+            _descend(restrict_to_plane(_split_z(mm)[1]), None)
             return cert
         try:
             factors = _mixed_pipeline(cls, mm)

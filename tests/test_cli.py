@@ -96,6 +96,15 @@ def test_verify_trivial_grading_rejects_a_nonconstant_jacobian(capsys):
     assert code == 1 and "automorphism: false" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "invert"])
+def test_certified_non_automorphism_exits_1(capsys, command):
+    # the degree test certifies this graded map, but J = 1 + 5y^3z^2 + 4y^6z^4,
+    # and the plane descent rejects its restriction
+    text = "(x + x*y^3*z^2, y + y^4*z^2, z)"
+    code, out, err = run(capsys, command, text, "--grading", "7,2,-3")
+    assert code == 1 and "rules the map out" in out + err
+
+
 def test_verify_undecided(capsys):
     # no grading and no recognizable shape: the trivial-grading router
     # refuses to guess

@@ -34,6 +34,10 @@ WITNESS = (
     " x^2*z^4 + 2*x*y^2*z^3 + y^4*z^2 + y, z)"
 )
 
+# graded for (7, 2, -3) and certified by the degree test, but its Jacobian
+# determinant is not constant
+NON_AUTOMORPHISM = "(x + x*y^3*z^2, y + y^4*z^2, z)"
+
 
 def _doc(names, coords, weights=None, modulus=None):
     data = {"vars": list(names), "coords": list(coords)}
@@ -59,6 +63,7 @@ INVOCATIONS = [
     ["verify", "(x + y^2*z, y, z)", "--grading", "1,1,-1"],
     ["verify", WITNESS, "--grading", "7,2,-3"],
     ["verify", "(2*x, y, z^2)", "--grading", "1,1,0"],
+    ["verify", NON_AUTOMORPHISM, "--grading", "7,2,-3"],
     ["verify", "(x^2, y, z)"],
     ["verify", WITNESS],
     ["verify", EXACT_DOC],
@@ -75,6 +80,7 @@ INVOCATIONS = [
     ["invert", "(x + y^2, x + y^2)"],
     ["invert", "(x + (y + x*z)^4*z, y + x*z, z)", "--grading", "5,2,-3"],
     ["invert", WITNESS, "--grading", "7,2,-3"],
+    ["invert", NON_AUTOMORPHISM, "--grading", "7,2,-3"],
     ["invert", EXACT_DOC],
     ["invert", MODULUS_DOC],
     ["decompose", "(x + (y + x^2)^2, y + x^2)"],
@@ -83,6 +89,7 @@ INVOCATIONS = [
     ["decompose", "(x, y, z)", "--grading", "1,1,-1"],
     ["decompose", "(x + y^2*z, y, 5*z)", "--grading", "1,1,-1"],
     ["decompose", WITNESS, "--grading", "7,2,-3"],
+    ["decompose", NON_AUTOMORPHISM, "--grading", "7,2,-3"],
     ["decompose", "(x + z, y, z)", "--grading", "1,1,-2"],
     ["decompose", "(3*x + y^2, 2*y)", "--grading", "2,1"],
     ["decompose", "(x + y^2, y)", "--grading", "7,2,-3"],

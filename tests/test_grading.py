@@ -275,7 +275,9 @@ coefficients = st.one_of(
 
 @st.composite
 def gradings_and_maps(draw):
-    arity = draw(st.sampled_from([2, 3]))
+    # Grading unrolls three variables, ResidueGrading two and total_degree
+    # both; every other pairing takes the generic loop
+    arity = draw(st.sampled_from([1, 2, 3, 4]))
     weights = draw(st.tuples(*[st.integers(min_value=-4, max_value=4)] * arity))
     if draw(st.booleans()):
         g = Grading(weights)
@@ -303,3 +305,11 @@ def gradings_and_maps(draw):
 def test_one_pass_graded_map_check_matches_two_pass_oracle(case):
     g, m = case
     assert g.is_graded_map(m) == _two_pass_is_graded_map(g, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradings_and_maps())
+def test_total_degree_matches_the_generic_sum(case):
+    for c in case[1].coords:
+        if not c.is_zero():
+            assert c.total_degree() == max(sum(e) for e in c.terms)

@@ -321,6 +321,37 @@ def test_lift_restrict_round_trip():
         assert report.liftable and report.lifted == e
 
 
+@st.composite
+def liftable_plane_maps(draw):
+    """(weights, pm): mixed coprime weights (a, b, -c) with a >= b and a
+    plane map graded mod c whose terms all lift: each term u^i v^j of the
+    coordinate of weight w has a*i + b*j >= w, congruent to w mod c."""
+    b = draw(st.integers(min_value=1, max_value=6))
+    a = draw(st.integers(min_value=b, max_value=12))
+    c = draw(st.integers(min_value=1, max_value=7))
+    assume(gcd(a, c) == 1 and gcd(b, c) == 1)
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coefficients = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+    coords = []
+    for w in (a, b):
+        terms = draw(st.dictionaries(exps, coefficients, max_size=6))
+        coords.append(Polynomial(2, {
+            (i, j): k for (i, j), k in terms.items()
+            if a * i + b * j >= w and (a * i + b * j - w) % c == 0
+        }))
+    return (a, b, -c), PolynomialMap(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(liftable_plane_maps())
+def test_restriction_of_the_lift_is_the_plane_map(case):
+    weights, pm = case
+    report = lift_plane_map(pm, weights)
+    assert report.liftable
+    assert Grading(weights).is_graded_map(report.lifted)
+    assert restrict_to_plane(report.lifted) == pm
+
+
 # ---------------------------------------------------------------------------
 # wild witnesses and the degree test
 
@@ -1076,6 +1107,28 @@ def test_dispatch_certified_wild_returns_certificate():
     result = decompose_graded(wit.map, (7, 2, -3))
     assert isinstance(result, WildnessCertificate)
     assert result.certified and result.violating_degree == 3
+
+
+# graded for (7, 2, -3) and certified by the degree test, but its Jacobian
+# determinant 1 + 5y^3z^2 + 4y^6z^4 is not constant
+NON_AUTOMORPHISM = PolynomialMap((x + x * y**3 * z**2, y + y**4 * z**2, z))
+
+
+def test_dispatch_decides_membership_before_a_certificate():
+    assert wildness_certificate(NON_AUTOMORPHISM, (7, 2, -3)).certified
+    assert constant_jacobian(NON_AUTOMORPHISM) is None
+    for call in (decompose_graded, invert_graded):
+        with pytest.raises(NotAnAutomorphism):
+            call(NON_AUTOMORPHISM, (7, 2, -3))
+
+
+def test_degree_test_reports_the_least_exponent_of_the_lowest_degree():
+    # the plane drop u^4 + u*v^3 has two terms of degree 4, below the
+    # threshold 5; the larger exponent tuple comes first in the map
+    m = PolynomialMap((x + x**4 * z**7 + x * y**3 * z**2, y, z))
+    cert = wildness_certificate(m, (7, 2, -3))
+    assert cert.certified and cert.threshold == 5
+    assert cert.violating_degree == 4 and cert.violating_exponents == (1, 3)
 
 
 def test_dispatch_tame_map_under_wild_weights():

@@ -20,6 +20,7 @@ from tamekit import (
     ResidueGrading,
     WrongShape,
     ZeroPolynomial,
+    decompose_graded,
     decompose_plane,
     decompose_positive,
     identity_map,
@@ -86,6 +87,12 @@ CASES = [
         NotAnAutomorphism,
     ),
     ("factor of arity 4 to invert", lambda: invert_factor(PolynomialMap((a * b, b, c, d))), WrongShape),
+    # graded and certified by the degree test, but the Jacobian is not constant
+    (
+        "certified non-automorphism",
+        lambda: decompose_graded(PolynomialMap((x + x * y**3 * z**2, y + y**4 * z**2, z)), (7, 2, -3)),
+        NotAnAutomorphism,
+    ),
     # Polynomial validation
     ("arity zero", lambda: Polynomial(0), ArityMismatch),
     ("exponent tuple length", lambda: Polynomial(2, {(1,): 1}), ArityMismatch),
