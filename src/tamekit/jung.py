@@ -41,7 +41,7 @@ from .maps import (
     plane_swap,
 )
 from .newton import AxisSegment, Obstruction, analyze_top_edge, newton_area
-from .poly import Polynomial, _div
+from .poly import Polynomial
 
 _X, _Y = Polynomial.variables(2)
 
@@ -54,33 +54,46 @@ def _check_plane(m):
 def _shear_for_edge(edge):
     """The shear psi killing the top edge, as the (s, q, rn, rd) that
     Polynomial._sheared applies (x_s -> x_s + (rn/rd)*x_o^q, o = 1 - s),
-    its inverse as a map, and a note."""
+    its inverse as a map, and a note.
+
+    r = rn/rd is read off the edge coefficient's numerator and
+    denominator, and psi's inverse, x_s -> x_s - r*x_o^q, is written
+    down as (rd*x_s - rn*x_o^q) / rd, whose two terms never merge; the
+    monomial x_o^q is a power of the variable."""
+    c = edge.coefficient
     if edge.p == 1:
-        r = _div(1, edge.coefficient)
-        psi_inv = PolynomialMap((_X - r * _Y**edge.q, _Y))
-        return (0, edge.q, r.numerator, r.denominator), psi_inv, ""
-    # q == 1: shear the second coordinate instead; recorded as a single
-    # elementary factor rather than swap-conjugating the first-variable one
-    r = edge.coefficient
-    psi_inv = PolynomialMap((_X, _Y - r * _X**edge.p))
-    return (1, edge.p, r.numerator, r.denominator), psi_inv, "mirrored"
+        # r = 1/c, its sign on the numerator
+        s, q, rn, rd = 0, edge.q, c.denominator if c > 0 else -c.denominator, abs(c.numerator)
+    else:
+        # q == 1: shear the second coordinate instead; recorded as a single
+        # elementary factor rather than swap-conjugating the first-variable one
+        s, q, rn, rd = 1, edge.p, c.numerator, c.denominator
+    (mono,) = ((_X, _Y)[1 - s] ** q)._num
+    binomial = Polynomial._raw(2, {((1, 0), (0, 1))[s]: rd, mono: -rn}, rd)
+    psi_inv = PolynomialMap((binomial, _Y) if s == 0 else (_X, binomial))
+    return (s, q, rn, rd), psi_inv, "mirrored" if s else ""
 
 
 def _base_factors(current, axis):
     """Split a map whose first coordinate is scale * (x or y) + shift;
-    FactorChain._derived drops a factor that is the identity."""
+    FactorChain._derived drops a factor that is the identity.
+
+    g = (mu*y + w) / d is read off its numerators, where y must have
+    only the term mu*y: the affine factor's second coordinate is
+    mu*y / d, and the elementary one's, y + w/mu, is g's numerators
+    over mu."""
     if axis == 1:
         # precompose with the swap of x and y: only exponents move
         swap = lambda e: (e[1], e[0])
         current = PolynomialMap(c.map_exponents(2, swap) for c in current.coords)
     f, g = current.coords
-    mu, w = g.split_variable(1)
-    if mu == 0 or w.involves(1):
+    if [e for e in g._num if e[1]] != [(0, 1)]:
         raise NotAnAutomorphism(
             f"second coordinate {g} is not linear in y over K[x]"
         )
-    aff = PolynomialMap((f, mu * _Y))
-    elem = PolynomialMap((_X, _Y + w * _div(1, mu)))
+    mu = g._num[(0, 1)]
+    aff = PolynomialMap((f, Polynomial._raw(2, {(0, 1): mu}, g._den)))
+    elem = PolynomialMap((_X, Polynomial._raw(2, (g if mu > 0 else -g)._num, abs(mu))))
     factors = [aff, elem, plane_swap()] if axis == 1 else [aff, elem]
     return factors, [""] * len(factors)
 

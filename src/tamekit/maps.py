@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     ArityMismatch,
@@ -195,6 +196,10 @@ def matrix_inverse(rows):
         raise WrongShape("matrix is singular")
     # one exact division per matrix: at det = ±1 each entry is an int product
     inv_det = _div(1, det)
+    if n <= 2:
+        # the adjugate in closed form: [1], or [[d, -b], [-c, a]]
+        adj = [[1]] if n == 1 else [[rows[1][1], -rows[0][1]], [-rows[1][0], rows[0][0]]]
+        return [[_coerce(v * inv_det) for v in row] for row in adj]
     out = []
     for i in range(n):
         row = []
@@ -226,14 +231,16 @@ def map_from_matrix(rows, constants=None):
     n = len(rows)
     if constants is None:
         constants = (0,) * n
-    units = _units(n)
+    keys = (*_units(n), (0,) * n)
     coords = []
     for i in range(n):
         if len(rows[i]) != n:
             raise ArityMismatch("matrix is not square")
-        terms = dict(zip(units, rows[i]))
-        terms[(0,) * n] = constants[i]
-        coords.append(Polynomial(n, terms))
+        # the entries over the lcm of their denominators, zeros dropped
+        values = [_coerce(v) for v in (*rows[i], constants[i])]
+        den = lcm(*[v.denominator for v in values])
+        num = {e: v.numerator * (den // v.denominator) for e, v in zip(keys, values) if v}
+        coords.append(Polynomial._raw(n, num, den))
     return PolynomialMap(coords)
 
 
@@ -372,9 +379,9 @@ def verify_inverse_pair(m, inv):
     m is not classified: its affine matrix and elementary detail are
     read directly, with no identity test and no determinant, so
     FactorChain.inverse classifies each factor once, in invert_factor.
-    For m = M*x + c, m∘inv is c + M*inv, summed coordinate by coordinate
-    with no substitution; it is the identity exactly when inv = N*x + d
-    with M*N = I and M*d + c = 0.  Then M is invertible and m an
+    For m = M*x + c, m∘inv is c + M*inv, which substitute sums with no
+    power and no product (its degree-one route); it is the identity
+    exactly when inv = N*x + d with M*N = I and M*d + c = 0.  Then M is invertible and m an
     automorphism, so m∘inv = id alone gives inv = m⁻¹∘m∘inv = m⁻¹, and
     inv∘m = id with it; a singular M never passes.  An elementary m, an
     automorphism, sends x_i to s*x_i + a, a free of x_i.  If inv fixes
@@ -386,16 +393,9 @@ def verify_inverse_pair(m, inv):
     """
     if m.arity != inv.arity:
         raise ArityMismatch(f"cannot compose arity {m.arity} with arity {inv.arity}")
-    matrix = _affine_matrix(m)
-    if matrix is not None:
-        for row, f, x in zip(matrix, m.coords, Polynomial.variables(m.arity)):
-            image = Polynomial.constant(m.arity, f.constant_term())
-            for a, g in zip(row, inv.coords):
-                if a:
-                    image = image + a * g
-            if image != x:
-                return False
-        return True
+    ident = identity_map(m.arity)
+    if _affine_matrix(m) is not None:
+        return compose(m, inv) == ident
     data = elementary_detail(m)
     if data is not None:
         d = elementary_detail(inv)
@@ -405,7 +405,6 @@ def verify_inverse_pair(m, inv):
             and data.scale * d.scale == 1
             and (data.scale * d.addend + data.addend).is_zero()
         )
-    ident = identity_map(m.arity)
     return compose(m, inv) == ident and compose(inv, m) == ident
 
 

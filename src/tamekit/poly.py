@@ -35,6 +35,13 @@ def _units(arity):
     return tuple(tuple(int(k == i) for k in range(arity)) for i in range(arity))
 
 
+@lru_cache(maxsize=None)
+def _unit_index(arity):
+    """Exponent tuple -> variable index for the variables, -1 for the
+    constant term: the support of a polynomial of degree <= 1."""
+    return {(0,) * arity: -1, **{e: k for k, e in enumerate(_units(arity))}}
+
+
 def _coerce(value):
     # boundary coefficients are exactly int or exactly Fraction, and a
     # denominator-1 Fraction collapses to int, so each value has one form
@@ -479,18 +486,27 @@ class Polynomial:
         Images may be Polynomial (all of one arity) or scalars; scalars
         are lifted to constants of the inferred arity.
 
-        The work stays on plain integers.  Each image is P_k / d_k with
-        P_k its numerators, each numerator of self is scaled by the
-        powers of the d_k its term lacks, and the sum is divided by the
-        one common denominator at the end.  Powers of P_k are cached;
-        those of a one- or two-term P_k are written down by the binomial
-        theorem, with no product at all.  Terms are grouped by all but
-        the last exponent: within a group the cached powers of the last
-        image are added linearly, and the group is then multiplied by
-        one cached power per earlier variable, so each group costs at
-        most arity - 1 products instead of each term costing two.
-        Plane shear images (x + r*y^q, y) or (x, y + r*x^q), q >= 0 (q = 0
-        a translation), take no product at all: see ``_sheared``.
+        The work stays on plain integers, by one of three routes, tried
+        in this order after the image count is checked:
+
+        1. Plane shear images (x + r*y^q, y) or (x, y + r*x^q), q >= 0
+           (q = 0 a translation), take no product at all: see
+           ``_sheared``.
+        2. When self has degree at most 1 and every image is a
+           Polynomial of one arity, the result is c_0 + sum c_k*image_k,
+           summed on numerators: see ``_linear_image``.
+        3. Every other input, scalar images and images of mixed arities
+           included, takes the power-cache path, with its checks.  Each
+           image is P_k / d_k with P_k its numerators, each numerator of
+           self is scaled by the powers of the d_k its term lacks, and
+           the sum is divided by the one common denominator at the end.
+           Powers of P_k are cached; those of a one- or two-term P_k are
+           written down by the binomial theorem, with no product at all.
+           Terms are grouped by all but the last exponent: within a
+           group the cached powers of the last image are added
+           linearly, and the group is then multiplied by one cached
+           power per earlier variable, so each group costs at most
+           arity - 1 products instead of each term costing two.
         """
         images = tuple(images)
         if len(images) != self.arity:
@@ -498,8 +514,9 @@ class Polynomial:
                 f"need {self.arity} images, got {len(images)}"
             )
         shear = _shear_of(images)
-        if shear is not None:
-            return self._sheared(*shear)
+        fast = self._sheared(*shear) if shear else self._linear_image(images)
+        if fast is not None:
+            return fast
         target = None
         for img in images:
             if isinstance(img, Polynomial):
@@ -548,6 +565,30 @@ class Polynomial:
                     factor = more if factor is one else _int_product(target, factor, more)
             _convolve(target, inner, factor, acc)
         return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, den)
+
+    def _linear_image(self, images):
+        """c_0 + sum_k c_k*image_k when self has degree <= 1 and the images
+        are Polynomials of one arity, else None.  On numerators over
+        den*L, L the lcm of the images' denominators, each image is
+        scaled by c_k*(L/d_k): no power, no product of polynomials.  A
+        variable returns its image itself."""
+        target = getattr(images[0], "arity", None)
+        if any(type(img) is not Polynomial or img.arity != target for img in images):
+            return None
+        index = _unit_index(self.arity)
+        picked = [(index.get(e), c) for e, c in self._num.items()]
+        if any(k is None for k, _ in picked):
+            return None
+        if self._den == 1 and len(picked) == 1 and picked[0][1] == 1 and picked[0][0] >= 0:
+            return images[picked[0][0]]
+        parts = [(images[k] if k >= 0 else Polynomial.constant(target, 1), c) for k, c in picked]
+        scale = lcm(*[img._den for img, _ in parts])
+        acc = {}
+        for img, c in parts:
+            c *= scale // img._den
+            for key, v in img._num.items():
+                acc[key] = acc.get(key, 0) + c * v
+        return Polynomial._raw(target, {e: c for e, c in acc.items() if c}, self._den * scale)
 
     def _sheared(self, s, q, rn, rd):
         """self at x_s -> x_s + (rn/rd)*x_o^q, x_o -> x_o (o = 1 - s), for
@@ -655,19 +696,29 @@ class Polynomial:
         return f"Polynomial({self.arity}, {self.render(_repr_names(self.arity))!r})"
 
 
+# the numerators of x and y, which a shear's fixed image must have
+_X_NUM, _Y_NUM = {(1, 0): 1}, {(0, 1): 1}
+
+
 def _shear_of(images):
     """(s, q, rn, rd) when the plane images are x_s + (rn/rd)*x_o^q with
-    q >= 0 and x_o itself (o = 1 - s), else None."""
-    if len(images) != 2:
+    q >= 0 and x_o itself (o = 1 - s), else None.  The fixed image is
+    compared with y, then x (both cannot hold, as the sheared image has
+    two terms), and the sheared image's terms are read once; exponent
+    tuples of length 2 imply arity 2."""
+    if len(images) != 2 or type(images[0]) is not Polynomial or type(images[1]) is not Polynomial:
         return None
     a, b = images
-    if type(a) is Polynomial and type(b) is Polynomial and a.arity == b.arity == 2:
-        for s, unit, other in ((0, (1, 0), (0, 1)), (1, (0, 1), (1, 0))):
-            img, fixed = images[s], images[1 - s]
-            num = img._num
-            if (len(num) == 2 and num.get(unit) == img._den
-                    and fixed._den == 1 and fixed._num == {other: 1}):
-                ((e, rn),) = [(e, c) for e, c in num.items() if e != unit]
-                if not e[s]:
-                    return s, e[1 - s], rn, img._den
-    return None
+    if b._den == 1 and b._num == _Y_NUM:
+        s, img = 0, a
+    elif a._den == 1 and a._num == _X_NUM:
+        s, img = 1, b
+    else:
+        return None
+    unit, terms = _units(2)[s], tuple(img._num.items())
+    if len(terms) != 2:
+        return None
+    (e, rn), (e2, c2) = terms if terms[1][0] == unit else terms[::-1]
+    if e2 != unit or c2 != img._den or e[s]:
+        return None
+    return s, e[1 - s], rn, img._den

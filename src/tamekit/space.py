@@ -562,6 +562,19 @@ def _conjugated_shear(qh, lh, sign):
     return PolynomialMap((Polynomial._raw(2, first), Polynomial._raw(2, second)))
 
 
+def _is_conjugated_shear(pm, qh, lh):
+    """True when pm is _conjugated_shear(qh, lh, sign), sign 1 or -1.
+
+    The sign is read off pm's u^lh coefficient in the second coordinate,
+    and the shear is built only when pm's first coordinate has its term
+    count, 1 + qh + lh*qh*(qh+1)/2 (see _MAX_WITNESS_BITS); the
+    comparison costs O(terms)."""
+    sign = pm.coords[1].coeff((lh, 0))
+    if sign not in (1, -1) or len(pm.coords[0]._num) != 1 + qh + lh * qh * (qh + 1) // 2:
+        return False
+    return pm == _conjugated_shear(qh, lh, sign)
+
+
 def nagata_pair():
     """Nagata's automorphism and its inverse.
 
@@ -1070,11 +1083,14 @@ def decompose_graded(m, weights):
 
     The degree test assumes an automorphism, so a certificate is
     returned only once the plane restriction pm of the z-fixing part m
-    passes the plane descent, which decides membership by itself (see
-    jung; NotAnAutomorphism otherwise; its factors are not recomposed,
-    as no chain is returned).  The constant-Jacobian precheck
-    is left out there: a certified map is most often a witness, where
-    it would only add two products of the map's size to the descent.
+    is known to be an automorphism.  When pm is the grading's conjugated
+    shear eps = tau_inv phi tau or its inverse, as it is for a witness
+    and its inverse, it is a composite of elementary automorphisms, and
+    the comparison with eps costs O(terms).  Any other pm goes through
+    the plane descent, which decides membership by itself (see jung;
+    NotAnAutomorphism otherwise; its factors are not recomposed, as no
+    chain is returned).  The constant-Jacobian precheck is left out
+    there: it would only add two products of the map's size to it.
     Membership of pm decides m.  m fixes the origin of the (x, y) plane
     over K[z] (see _mixed_pipeline), and its Jacobian determinant in x
     and y is homogeneous of weight 0 and restricts to J(pm), so it is
@@ -1100,7 +1116,9 @@ def decompose_graded(m, weights):
     elif reason is GradingReason.Q_HAT_AT_LEAST_TWO:
         cert = _degree_test(cls, mm)
         if cert.certified:
-            _descend(restrict_to_plane(_split_z(mm)[1]), None)
+            pm = restrict_to_plane(_split_z(mm)[1])
+            if not _is_conjugated_shear(pm, cls.q_hat, cls.l_hat):
+                _descend(pm, None)
             return cert
         try:
             factors = _mixed_pipeline(cls, mm)

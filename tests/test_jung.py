@@ -13,6 +13,8 @@ from tamekit.errors import (
 from tamekit import maps
 from tamekit.grading import Grading, ResidueGrading
 from tamekit.jung import (
+    _base_factors,
+    _shear_for_edge,
     decompose_plane,
     decompose_plane_graded,
     invert_plane,
@@ -29,7 +31,8 @@ from tamekit.maps import (
     plane_swap,
     verify_inverse_pair,
 )
-from tamekit.poly import Polynomial
+from tamekit.newton import BinomialEdge
+from tamekit.poly import Polynomial, _div
 from tamekit.space import decompose_zero_cases
 from test_maps import literal_inverse_pair
 
@@ -269,3 +272,73 @@ def test_descent_rejects_behind_a_passing_jacobian(monkeypatch, m):
     monkeypatch.setattr(maps, "constant_jacobian", lambda m: 1)
     with pytest.raises(NotAnAutomorphism, match=reason):
         decompose_plane(m)
+
+
+def _fraction_shear_for_edge(edge):
+    # the shear and its inverse as they were built through Fraction
+    # arithmetic, the oracle for the construction from numerators
+    if edge.p == 1:
+        r = _div(1, edge.coefficient)
+        psi_inv = PolynomialMap((x - r * y**edge.q, y))
+        return (0, edge.q, r.numerator, r.denominator), psi_inv, ""
+    r = edge.coefficient
+    psi_inv = PolynomialMap((x, y - r * x**edge.p))
+    return (1, edge.p, r.numerator, r.denominator), psi_inv, "mirrored"
+
+
+_edge_coefficients = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=9)
+).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.booleans(), _edge_coefficients)
+def test_shear_for_edge_matches_the_fraction_construction(n, mirrored, c):
+    # p == 1 shears x by 1/c; q == 1 with p > 1 shears y by c
+    p, q = (n + 1, 1) if mirrored else (1, n)
+    edge = BinomialEdge(p=p, q=q, multiplicity=1, scale=1, coefficient=c)
+    got = _shear_for_edge(edge)
+    assert got == _fraction_shear_for_edge(edge)
+    binomial = got[1].coords[got[0][0]]
+    assert list(binomial._num) == list(_fraction_shear_for_edge(edge)[1].coords[got[0][0]]._num)
+
+
+def _fraction_base_factors(current, axis):
+    # the base split through split_variable and a scalar product
+    if axis == 1:
+        current = PolynomialMap(c.map_exponents(2, lambda e: (e[1], e[0])) for c in current.coords)
+    f, g = current.coords
+    mu, w = g.split_variable(1)
+    if mu == 0 or w.involves(1):
+        raise NotAnAutomorphism(f"second coordinate {g} is not linear in y over K[x]")
+    factors = [PolynomialMap((f, mu * y)), PolynomialMap((x, y + w * _div(1, mu)))]
+    return factors + [plane_swap()] if axis == 1 else factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 1),
+    _edge_coefficients,
+    st.integers(-3, 3),
+    st.one_of(st.just(0), _edge_coefficients),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        max_size=4,
+    ),
+)
+def test_base_factors_match_the_fraction_construction(axis, scale, shift, mu, rest):
+    # f is scale * (x or y) + shift; g is mu*y plus terms that may hold y
+    f = scale * (x, y)[axis] + shift
+    g = mu * (x, y)[1 - axis] + Polynomial(2, rest)
+    m = PolynomialMap((f, g))
+    try:
+        expected = _fraction_base_factors(m, axis)
+    except NotAnAutomorphism as exc:
+        with pytest.raises(NotAnAutomorphism) as caught:
+            _base_factors(m, axis)
+        assert str(caught.value) == str(exc)
+        return
+    factors, notes = _base_factors(m, axis)
+    assert factors == expected
+    assert notes == [""] * len(expected)

@@ -132,6 +132,55 @@ def test_matrix_helpers():
         matrix_inverse([[1, 2], [2, 4]])
 
 
+def _cofactor_inverse(rows):
+    # adjugate by cofactors over the determinant, the oracle for the closed
+    # forms of sizes 1 and 2
+    n, det = len(rows), Fraction(matrix_det(rows))
+    minor = lambda i, j: [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+    return [
+        [(-1) ** (i + j) * (matrix_det(minor(i, j)) if n > 1 else 1) / det for j in range(n)]
+        for i in range(n)
+    ]
+
+
+_entries = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_matrix_inverse_matches_cofactors(rows):
+    if matrix_det(rows) == 0:
+        with pytest.raises(WrongShape, match="singular"):
+            matrix_inverse(rows)
+        return
+    inv = matrix_inverse(rows)
+    assert inv == _cofactor_inverse(rows)
+    assert all(type(v) is int or v.denominator != 1 for row in inv for v in row)
+
+
+def test_matrix_inverse_refuses_singular_small_matrices():
+    for rows in ([[0]], [[0, 0], [0, 0]], [[Fraction(1, 2), 1], [1, 2]], [[0, 3], [0, -1]]):
+        with pytest.raises(WrongShape, match="singular"):
+            matrix_inverse(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(_entries, min_size=n, max_size=n))))
+def test_map_from_matrix_matches_the_validating_constructor(case):
+    rows, consts = case
+    n = len(rows)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    expected = [
+        Polynomial(n, {**dict(zip(units, row)), (0,) * n: c}) for row, c in zip(rows, consts)
+    ]
+    assert map_from_matrix(rows, consts).coords == tuple(expected)
+
+
 def test_affine_round_trip():
     mat = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
     consts = (1, 0, -3)

@@ -4,8 +4,9 @@ sympy is only a test dependency: it serves as an independent exact
 oracle for sums, differences, scalar and polynomial products, powers,
 ``substitute``, ``map_exponents``, ``partial``, ``jacobian_det``,
 ``split_variable`` and the coefficient readers, with the plane shears
-that ``substitute`` expands by binomial rows checked on their own next
-to the near misses that must take its general path.  Every result must also
+that ``substitute`` expands by binomial rows and the polynomials of
+degree at most 1 that it sums linearly checked on their own next to the
+near misses that must take its general path.  Every result must also
 be in normal form: integer numerators, none zero, over a positive
 denominator that shares no factor with all of them.
 """
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tamekit import poly
+from tamekit.errors import ArityMismatch
 from tamekit.maps import PolynomialMap, compose, jacobian_det
 from tamekit.poly import Polynomial, _shear_of
 
@@ -591,3 +593,99 @@ def test_subclass_coefficients_are_stored_exactly():
         Polynomial(2, {(1, 0): True})
     with pytest.raises(TypeError):
         x.substitute((False, y))
+
+
+def _dict_shear_of(images):
+    # the shear test as it was written with a dict built per call, the
+    # oracle for the one that compares module constants
+    if len(images) != 2:
+        return None
+    a, b = images
+    if type(a) is Polynomial and type(b) is Polynomial and a.arity == b.arity == 2:
+        for s, unit, other in ((0, (1, 0), (0, 1)), (1, (0, 1), (1, 0))):
+            img, fixed = images[s], images[1 - s]
+            num = img._num
+            if (len(num) == 2 and num.get(unit) == img._den
+                    and fixed._den == 1 and fixed._num == {other: 1}):
+                ((e, rn),) = [(e, c) for e, c in num.items() if e != unit]
+                if not e[s]:
+                    return s, e[1 - s], rn, img._den
+    return None
+
+
+plane_images = st.one_of(
+    polys(2, max_exp=2, max_terms=3),
+    st.sampled_from([x, y, -x, 2 * y, x + 1, y - Fraction(1, 2), X, Y, 1, Fraction(1, 3)]),
+    plane_shears().map(lambda images: images[0] if images[0] != x else images[1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(plane_images, plane_images), plane_shears(), near_shears()))
+@example((x, y))  # the identity
+@example((x + 3, y))  # a translation of x
+@example((x, y - Fraction(2, 3)))  # a translation of y
+@example((y, x))  # the swap
+@example((x + y, y + x))
+@example((Fraction(1, 2) * x + y**2, y))  # x over a denominator
+@example((x + Fraction(1, 2) * y**2, y))
+def test_shear_of_matches_the_dict_oracle(images):
+    assert _shear_of(images) == _dict_shear_of(images)
+    assert _shear_of(images + (y,)) is None
+
+
+@st.composite
+def linear_polys(draw, arity):
+    """c_0 + sum c_k*x_k with some coefficients zero: constant and zero
+    polynomials included."""
+    terms = {(0,) * arity: draw(st.one_of(st.just(0), coeffs))}
+    for unit in poly._units(arity):
+        terms[unit] = draw(st.one_of(st.just(0), coeffs))
+    return Polynomial(arity, terms)
+
+
+@st.composite
+def linear_substitutions(draw):
+    source, target = draw(arities), draw(arities)
+    f = draw(linear_polys(source))
+    return f, tuple(draw(polys(target, max_exp=3, max_terms=4)) for _ in range(source))
+
+
+@settings(max_examples=120, deadline=None)
+@given(linear_substitutions())
+@example((X, (x**2, Fraction(1, 2) * y, x)))  # a variable: its image itself
+@example((Fraction(2, 3) * x + Fraction(1, 6), (Fraction(3, 4) * Y - Z, Fraction(1, 2) * X)))
+@example((x - y, (X + Fraction(1, 2) * Y, X + Fraction(1, 2) * Y)))  # cancels to zero
+@example((Polynomial.zero(3), (x, y, x * y)))
+@example((Polynomial.constant(2, Fraction(-5, 7)), (X * Y, Z)))  # a constant, new arity
+@example((2 * x + 3 * y, (Fraction(1, 3) * x, Fraction(1, 2) * y)))  # the 6 cancels
+def test_linear_substitute_matches_the_general_path_and_sympy(case):
+    f, images = case
+    assert f._linear_image(images) is not None
+    _check_substitute(f, images)
+    got = f.substitute(images)
+    with mock.patch.object(Polynomial, "_linear_image", lambda self, images: None):
+        assert f.substitute(images) == got
+
+
+@pytest.mark.parametrize(
+    "f, images",
+    [
+        (x + 2, (Fraction(1, 2), y)),  # a scalar image
+        (Fraction(1, 3) * X - Y, (0, 1, 2)),  # scalar images only
+        (x * y, (x + 1, y)),  # degree 2
+        (y, (x**2 * y, X)),  # mixed image arities
+    ],
+)
+def test_linear_substitute_leaves_other_inputs_to_the_general_path(f, images):
+    assert f._linear_image(images) is None
+    if len({img.arity for img in images if isinstance(img, Polynomial)}) > 1:
+        with pytest.raises(ArityMismatch, match="mixed arities"):
+            f.substitute(images)
+    else:
+        _check_substitute(f, images)
+
+
+def test_linear_substitute_keeps_the_image_count_check():
+    with pytest.raises(ArityMismatch, match="need 3 images, got 2"):
+        (X + 1).substitute((x, y))

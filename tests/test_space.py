@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -1120,6 +1121,55 @@ def test_dispatch_decides_membership_before_a_certificate():
     for call in (decompose_graded, invert_graded):
         with pytest.raises(NotAnAutomorphism):
             call(NON_AUTOMORPHISM, (7, 2, -3))
+
+
+_LARGE_WILD = (303, 1, -301)  # q_hat 2, l_hat 151: 456 terms per plane coordinate
+
+
+def test_certified_witness_pair_skips_the_descent(monkeypatch):
+    # both restrict to the grading's conjugated shear or its inverse,
+    # which one comparison proves automorphisms; the descent alone would
+    # take about a second and peak near 2.7 MB here
+    wit = wild_witness(_LARGE_WILD)
+
+    def refuse(pm, trace):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(space, "_descend", refuse)
+    for m in (wit.map, wit.inverse):
+        tracemalloc.start()
+        try:
+            result = decompose_graded(m, _LARGE_WILD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(result, WildnessCertificate) and result.certified
+        assert peak < 2**20
+
+
+def _spy_descend(monkeypatch):
+    calls = []
+    descend = space._descend
+
+    def spy(pm, trace):
+        calls.append(pm)
+        return descend(pm, trace)
+
+    monkeypatch.setattr(space, "_descend", spy)
+    return calls
+
+
+def test_certified_maps_off_the_witness_go_through_the_descent(monkeypatch):
+    # the witness with its x coefficient 1 changed to 2 keeps the certificate
+    # and the term count, but its Jacobian is no longer constant
+    wit = wild_witness(_LARGE_WILD)
+    changed = PolynomialMap((wit.map.coords[0] + x, *wit.map.coords[1:]))
+    assert wildness_certificate(changed, _LARGE_WILD).certified
+    calls = _spy_descend(monkeypatch)
+    for m, weights in ((changed, _LARGE_WILD), (NON_AUTOMORPHISM, (7, 2, -3))):
+        with pytest.raises(NotAnAutomorphism):
+            decompose_graded(m, weights)
+    assert len(calls) == 2
 
 
 def test_degree_test_reports_the_least_exponent_of_the_lowest_degree():
